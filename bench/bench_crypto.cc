@@ -2,7 +2,7 @@
  * @file
  * Crypto pipeline microbenchmarks — host throughput and batch cost.
  *
- * Three independent sections:
+ * Two independent sections:
  *
  *  1. Host wall-time: the real cost of page crypto on this machine,
  *     measured for the optimized pipeline (T-table AES, multi-block
@@ -11,14 +11,7 @@
  *     pad hashing). These numbers vary by host and are recorded under
  *     `host_` keys, which bench/compare.py reports but never gates.
  *
- *  2. Worker sweep: wall-time of a 64-page encryptPages/decryptPages
- *     batch at each crypto worker count in `--threads=<list>` (default
- *     1,2,4,8). Scaling depends entirely on host core count, so these
- *     are `host_` keys too; the sweep additionally asserts that frames,
- *     metadata and simulated cycles are bit-identical at every worker
- *     count (the pool's determinism contract).
- *
- *  3. Simulated cycles: the engine-level batched page-crypto API
+ *  2. Simulated cycles: the engine-level batched page-crypto API
  *     (encryptPages / decryptPages / sealPlaintextFrames) measured
  *     against the equivalent per-page sequence. The batch API is
  *     documented to charge byte-identical simulated cost; this bench
@@ -32,7 +25,6 @@
 
 #include "bench_common.hh"
 
-#include "base/pool.hh"
 #include "cloak/engine.hh"
 #include "crypto/ctr.hh"
 #include "crypto/hmac.hh"
@@ -41,7 +33,6 @@
 #include "vmm/vcpu.hh"
 #include "vmm/vmm.hh"
 
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -232,28 +223,27 @@ class BenchOs : public vmm::GuestOsHooks
 constexpr std::uint64_t benchPages = 32;
 
 /**
- * Engine harness with a cloaked region of `pages` pages (default
- * `benchPages`; the worker sweep uses 64). Fast paths are off (no
- * shadow retention, no victim cache) so every seal and decrypt pays
- * the full AES + SHA cost — the quantity the batch API is supposed to
- * leave untouched.
+ * Engine harness with a `benchPages`-page cloaked region. Fast paths
+ * are off (no shadow retention, no victim cache) so every seal and
+ * decrypt pays the full AES + SHA cost — the quantity the batch API is
+ * supposed to leave untouched.
  */
 struct Harness
 {
-    explicit Harness(std::uint64_t pages_ = benchPages)
-        : pages(pages_), machine(sim::MachineConfig{512, 1, {}, {}}),
-          vmm(machine, 512), engine(vmm, 7, 4096)
+    Harness()
+        : machine(sim::MachineConfig{512, 1, {}, {}}), vmm(machine, 512),
+          engine(vmm, 7, 4096)
     {
         vmm.setGuestOs(&os);
         vmm.setShadowRetention(false);
         engine.setVictimCacheCapacity(0);
         domain = engine.createDomain(appAsid, 1,
                                      cloak::programIdentity("bench"));
-        for (std::uint64_t i = 0; i < pages; ++i) {
+        for (std::uint64_t i = 0; i < benchPages; ++i) {
             os.map(appAsid, appVa + i * pageSize, gpa0 + i * pageSize);
             os.map(0, kernelVa + i * pageSize, gpa0 + i * pageSize);
         }
-        resource = engine.registerRegion(domain, appVa, pages);
+        resource = engine.registerRegion(domain, appVa, benchPages);
     }
 
     vmm::Vcpu
@@ -273,7 +263,6 @@ struct Harness
     static constexpr Gpa gpa0 = 0x4000;
     static constexpr GuestVA kernelVa = 0x0000'8000'0000'0000ull + gpa0;
 
-    std::uint64_t pages;
     sim::Machine machine;
     vmm::Vmm vmm;
     cloak::CloakEngine engine;
@@ -412,210 +401,23 @@ runSimSection(bench::BenchReport& report)
     report.set("decrypt_batch_32.sim_cycles", decrypt_batch);
 }
 
-// ---------------------------------------------------------------------------
-// Section 3: host wall-time, crypto worker-pool sweep
-// ---------------------------------------------------------------------------
-
-constexpr std::uint64_t sweepPages = 64;
-
-/** Measured host time for one worker count, plus a determinism seal. */
-struct SweepResult
-{
-    std::uint64_t encNsPerBatch = 0;
-    std::uint64_t decNsPerBatch = 0;
-    crypto::Digest digest{};  ///< Frames + metadata + cycles at the end.
-    Cycles simCycles = 0;
-};
-
-/**
- * Run `iters` encrypt-batch/decrypt-batch round trips over a fresh
- * 64-page harness with `workers` crypto lanes, timing only the
- * engine batch calls (dirtying and item building are untimed prep).
- * Because every harness starts from the same seed and performs the
- * same operation sequence, the final frames, metadata and simulated
- * cycles must be identical for every worker count — the digest pins
- * that.
- */
-SweepResult
-runSweepOnce(unsigned workers, int iters)
-{
-    Harness h(sweepPages);
-    h.engine.setCryptoWorkers(workers);
-    auto app = h.appCpu();
-    std::uint64_t scratch = 0;
-
-    cloak::Resource* res =
-        h.engine.metadata().lookup(h.resource).valueOr(nullptr);
-    osh_assert(res != nullptr, "sweep resource exists");
-
-    std::vector<cloak::PageCryptoItem> items(sweepPages);
-    auto build_items = [&] {
-        for (std::uint64_t i = 0; i < sweepPages; ++i) {
-            items[i].pageIndex = i;
-            items[i].meta = &h.engine.metadata().page(*res, i);
-            items[i].gpa = Harness::gpa0 + i * pageSize;
-        }
-    };
-
-    SweepResult r;
-    for (int it = 0; it < iters + 1; ++it) {
-        // Untimed prep: dirty every page through the app's view.
-        for (std::uint64_t i = 0; i < sweepPages; ++i)
-            app.store64(Harness::appVa + i * pageSize, ++scratch);
-
-        build_items();
-        std::uint64_t t0 = bench::hostNowNs();
-        h.engine.encryptPages(*res, items);
-        std::uint64_t enc = bench::hostNowNs() - t0;
-
-        build_items();
-        t0 = bench::hostNowNs();
-        h.engine.decryptPages(*res, items);
-        std::uint64_t dec = bench::hostNowNs() - t0;
-
-        if (it > 0) {  // first round trip is warmup
-            r.encNsPerBatch += enc;
-            r.decNsPerBatch += dec;
-        }
-    }
-    r.encNsPerBatch /= static_cast<std::uint64_t>(iters);
-    r.decNsPerBatch /= static_cast<std::uint64_t>(iters);
-
-    crypto::Sha256 seal;
-    for (std::uint64_t i = 0; i < sweepPages; ++i) {
-        auto frame = h.machine.memory().framePlain(
-            h.vmm.pmap().translate(Harness::gpa0 + i * pageSize));
-        seal.update(frame);
-        const cloak::PageMeta& meta =
-            h.engine.metadata().page(*res, i);
-        seal.update(meta.iv);
-        seal.update(meta.hash);
-        std::uint8_t tail[9];
-        std::memcpy(tail, &meta.version, 8);
-        tail[8] = static_cast<std::uint8_t>(meta.state);
-        seal.update(tail);
-    }
-    r.simCycles = h.machine.cost().cycles();
-    std::uint8_t cyc[8];
-    std::memcpy(cyc, &r.simCycles, sizeof(cyc));
-    seal.update(cyc);
-    r.digest = seal.final();
-    return r;
-}
-
-void
-runSweepSection(bench::BenchReport& report,
-                const std::vector<unsigned>& threads, bool quick)
-{
-    const int iters = quick ? 2 : 8;
-    constexpr std::uint64_t batchBytes = sweepPages * pageSize;
-
-    bench::header("Host wall-time: page-crypto worker sweep "
-                  "(64-page batch)");
-    std::printf("  host reports %u hardware thread(s); results are "
-                "informational, never gated\n",
-                WorkerPool::hardwareWorkers());
-    std::printf("  %-8s %-26s %-26s\n", "workers",
-                "encrypt batch", "decrypt batch");
-
-    SweepResult base{};
-    for (std::size_t t = 0; t < threads.size(); ++t) {
-        unsigned w = threads[t];
-        SweepResult r = runSweepOnce(w, iters);
-        if (t == 0)
-            base = r;
-
-        // Same seed + same ops must mean bit-identical output and
-        // simulated cost at every worker count. This is the bench-side
-        // restatement of the determinism tests; a divergence here is a
-        // bug in the pool merge, not noise.
-        osh_assert(r.simCycles == base.simCycles,
-                   "worker sweep: simulated cycles diverged at w=%u", w);
-        osh_assert(r.digest == base.digest,
-                   "worker sweep: frame/metadata digest diverged at "
-                   "w=%u", w);
-
-        std::uint64_t enc_mb = bench::mbPerSec(batchBytes,
-                                               r.encNsPerBatch);
-        std::uint64_t dec_mb = bench::mbPerSec(batchBytes,
-                                               r.decNsPerBatch);
-        std::uint64_t enc_x100 =
-            r.encNsPerBatch == 0
-                ? 0 : base.encNsPerBatch * 100 / r.encNsPerBatch;
-        std::uint64_t dec_x100 =
-            r.decNsPerBatch == 0
-                ? 0 : base.decNsPerBatch * 100 / r.decNsPerBatch;
-        std::printf("  %-8u %8llu ns %6llu MB/s   %8llu ns %6llu MB/s"
-                    "   (%llu.%02llux / %llu.%02llux)\n", w,
-                    static_cast<unsigned long long>(r.encNsPerBatch),
-                    static_cast<unsigned long long>(enc_mb),
-                    static_cast<unsigned long long>(r.decNsPerBatch),
-                    static_cast<unsigned long long>(dec_mb),
-                    static_cast<unsigned long long>(enc_x100 / 100),
-                    static_cast<unsigned long long>(enc_x100 % 100),
-                    static_cast<unsigned long long>(dec_x100 / 100),
-                    static_cast<unsigned long long>(dec_x100 % 100));
-
-        std::string k = "par.encrypt_64.w" + std::to_string(w);
-        report.setHost(k + ".ns", r.encNsPerBatch);
-        report.setHost(k + ".mb_s", enc_mb);
-        report.setHost(k + ".speedup_x100", enc_x100);
-        k = "par.decrypt_64.w" + std::to_string(w);
-        report.setHost(k + ".ns", r.decNsPerBatch);
-        report.setHost(k + ".mb_s", dec_mb);
-        report.setHost(k + ".speedup_x100", dec_x100);
-    }
-}
-
-/** Parse "1,2,4,8" into worker counts; exits on malformed input. */
-std::vector<unsigned>
-parseThreadList(const char* arg)
-{
-    std::vector<unsigned> out;
-    const char* p = arg;
-    while (*p != '\0') {
-        char* end = nullptr;
-        unsigned long v = std::strtoul(p, &end, 10);
-        if (end == p || v == 0 || v > 256 ||
-            (*end != ',' && *end != '\0')) {
-            std::fprintf(stderr,
-                         "bad --threads list '%s' (want e.g. 1,2,4,8)\n",
-                         arg);
-            std::exit(1);
-        }
-        out.push_back(static_cast<unsigned>(v));
-        p = *end == ',' ? end + 1 : end;
-    }
-    if (out.empty()) {
-        std::fprintf(stderr, "--threads list is empty\n");
-        std::exit(1);
-    }
-    return out;
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
     bool quick = false;
-    std::vector<unsigned> threads = {1, 2, 4, 8};
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
-        } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-            threads = parseThreadList(argv[i] + 10);
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--threads=1,2,4,8]\n",
-                         argv[0]);
+            std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
             return 1;
         }
     }
 
     osh::bench::BenchReport report("crypto");
     runHostSection(report, quick);
-    runSweepSection(report, threads, quick);
     runSimSection(report);
     report.write();
     return 0;

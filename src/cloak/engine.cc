@@ -399,25 +399,6 @@ CloakEngine::decryptAndVerifyWith(Resource& res, std::uint64_t page_index,
 // Batched page crypto
 // ---------------------------------------------------------------------------
 
-namespace
-{
-
-/**
- * Per-item staging for the parallel batch paths. The fan-out writes
- * only its own item's slot; the ordered merge on the calling thread
- * folds the slots back into engine state in submission order.
- */
-struct CryptoStage
-{
-    std::span<std::uint8_t> frame;  ///< Resolved on the calling thread.
-    Gpa gpa = badAddr;              ///< Frame address for bookkeeping.
-    bool dirtyPath = false;         ///< Fresh-IV encryption vs clean.
-    crypto::Digest hash{};          ///< Staged SHA-256 result.
-    std::array<std::uint8_t, pageSize> bytes; ///< Staged AES output.
-};
-
-} // namespace
-
 void
 CloakEngine::encryptPages(Resource& res,
                           std::span<const PageCryptoItem> items)
@@ -428,167 +409,16 @@ CloakEngine::encryptPages(Resource& res,
     // one enclosing trace/audit scope. The per-page work — metadata
     // updates, victim-cache fills, cycle charges — is byte-for-byte
     // the sequential loop, so batching never changes simulated cost.
-    // With more than one pool lane the AES/SHA compute fans out across
-    // host threads; everything observable still happens in submission
-    // order on this thread. Items must name distinct pages (the same
-    // contract under which the serial loop is well-defined).
+    // Items must name distinct pages (the same contract under which
+    // the loop is well-defined).
     const crypto::Aes128& cipher = cipherFor(res);
     OSH_TRACE_SCOPE(&vmm_.machine().tracer(), trace::Category::Cloak,
                     "encrypt_batch", res.domain, 0, res.id,
                     items.size());
-    // Chunked-integrity mode forces the serial loop: per-chunk dirty
-    // diffing and RNG draws are inherently ordered.
-    if (pool_.workers() <= 1 || items.size() == 1 || chunkedIntegrity_) {
-        for (const PageCryptoItem& item : items)
-            encryptPageWith(res, item.pageIndex, *item.meta, cipher);
-    } else {
-        encryptPagesParallel(res, items, cipher);
-    }
+    for (const PageCryptoItem& item : items)
+        encryptPageWith(res, item.pageIndex, *item.meta, cipher);
     stats_.counter("batch_encrypt_calls").inc();
     stats_.counter("batch_encrypt_pages").inc(items.size());
-}
-
-/*
- * Determinism argument, shared by both *Parallel paths. The serial
- * loop's work divides into three classes:
- *
- *   1. Stateful inputs: RNG draws for fresh IVs, version bumps, frame
- *      lookups (pmap backing is allocated lazily). These run in a
- *      pre-pass on the calling thread, in submission order — the RNG
- *      stream and metadata transitions are exactly the serial ones.
- *   2. Pure compute: AES-CTR keystreams and SHA-256 hashes. These read
- *      frozen inputs (frames, per-item metadata fixed by the pre-pass,
- *      the shared read-only cipher schedule) and write only their own
- *      item's staging slot. This is the only part that fans out, so
- *      worker scheduling cannot be observed.
- *   3. Stateful outputs: frame writes, hash/state updates, victim-cache
- *      insertions and lookups, cycle charges, stats counters, trace
- *      events, plaintext-index and shadow bookkeeping. These replay in
- *      an ordered merge on the calling thread, item by item, in the
- *      exact statement order of the serial loop.
- *
- * The fan-out is a full barrier (parallelFor returns before the merge
- * starts), so staged reads of a frame never race the merge's write to
- * another frame. Victim-cache LRU traffic happens only in the merge,
- * in serial order, so hit/miss/eviction sequences — and therefore the
- * charged cycles — are identical to workers=1. A clean page whose
- * re-encryption is served by a victim hit wastes its staged AES work;
- * that trade (a little redundant host compute for exact determinism)
- * is deliberate.
- */
-void
-CloakEngine::encryptPagesParallel(Resource& res,
-                                  std::span<const PageCryptoItem> items,
-                                  const crypto::Aes128& cipher)
-{
-    auto& machine = vmm_.machine();
-
-    // Pre-pass: consume stateful inputs in submission order.
-    std::vector<CryptoStage> st(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        PageMeta& meta = *items[i].meta;
-        osh_assert(meta.state != PageState::Encrypted,
-                   "encryptPage on already-encrypted page");
-        osh_assert(meta.residentGpa != badAddr, "no resident plaintext");
-        st[i].gpa = meta.residentGpa;
-        st[i].frame = frameBytes(meta.residentGpa);
-        st[i].dirtyPath = meta.state == PageState::PlaintextDirty ||
-                          !cleanOptimization_ || meta.version == 0;
-        if (st[i].dirtyPath) {
-            machine.rng().fill(meta.iv);
-            meta.version++;
-        }
-    }
-
-    // Fan-out: pure compute into per-item staging.
-    pool_.parallelFor(items.size(), [&](std::size_t i) {
-        const PageMeta& meta = *items[i].meta;
-        std::memcpy(st[i].bytes.data(), st[i].frame.data(), pageSize);
-        crypto::aesCtrXcryptInPlace(
-            cipher, meta.iv,
-            std::span<std::uint8_t>(st[i].bytes.data(), pageSize));
-        if (st[i].dirtyPath) {
-            st[i].hash = pageHash(res, items[i].pageIndex, meta,
-                                  st[i].bytes);
-        }
-    });
-
-    // Ordered merge: replay the serial loop's stateful effects.
-    auto& cost = machine.cost();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        const PageCryptoItem& item = items[i];
-        PageMeta& meta = *item.meta;
-        auto frame = st[i].frame;
-        if (st[i].dirtyPath) {
-            OSH_TRACE_SCOPE(&machine.tracer(), trace::Category::Cloak,
-                            "page_encrypt", res.domain, 0, res.id,
-                            item.pageIndex);
-            VictimCache::Entry* v =
-                victims_.insert(res.id, item.pageIndex, meta.version);
-            if (v != nullptr)
-                std::memcpy(v->plaintext.data(), frame.data(),
-                            frame.size());
-            std::memcpy(frame.data(), st[i].bytes.data(), frame.size());
-            meta.hash = st[i].hash;
-            if (v != nullptr) {
-                v->iv = meta.iv;
-                v->hash = meta.hash;
-                std::memcpy(v->ciphertext.data(), frame.data(),
-                            frame.size());
-            }
-            cost.charge(cost.params().aesPerByte * pageSize +
-                        cost.params().shaPerByte * (pageSize + 40) +
-                        cost.params().cloakFaultFixed,
-                        "page_encrypt");
-            stats_.counter("page_encrypts").inc();
-        } else {
-            VictimCache::Entry* v =
-                victims_.find(res.id, item.pageIndex, meta.version);
-            if (v != nullptr && v->iv == meta.iv &&
-                std::memcmp(v->plaintext.data(), frame.data(),
-                            frame.size()) == 0) {
-                OSH_TRACE_SCOPE(&machine.tracer(),
-                                trace::Category::Cloak,
-                                "victim_reencrypt", res.domain, 0,
-                                res.id, item.pageIndex);
-                std::memcpy(frame.data(), v->ciphertext.data(),
-                            frame.size());
-                cost.charge(cost.params().victimHitCopy +
-                            cost.params().cloakFaultFixed,
-                            "page_reencrypt_victim");
-                stats_.counter("victim_reencrypt_hits").inc();
-                stats_.counter("clean_reencrypts").inc();
-            } else {
-                if (v != nullptr)
-                    stats_.counter("victim_reencrypt_mismatches").inc();
-                OSH_TRACE_SCOPE(&machine.tracer(),
-                                trace::Category::Cloak,
-                                "clean_reencrypt", res.domain, 0,
-                                res.id, item.pageIndex);
-                v = victims_.insert(res.id, item.pageIndex,
-                                    meta.version);
-                if (v != nullptr)
-                    std::memcpy(v->plaintext.data(), frame.data(),
-                                frame.size());
-                std::memcpy(frame.data(), st[i].bytes.data(),
-                            frame.size());
-                if (v != nullptr) {
-                    v->iv = meta.iv;
-                    v->hash = meta.hash;
-                    std::memcpy(v->ciphertext.data(), frame.data(),
-                                frame.size());
-                }
-                cost.charge(cost.params().aesPerByte * pageSize +
-                            cost.params().cloakFaultFixed,
-                            "page_reencrypt_clean");
-                stats_.counter("clean_reencrypts").inc();
-            }
-        }
-        plaintextIndex_.erase(st[i].gpa);
-        meta.state = PageState::Encrypted;
-        meta.residentGpa = badAddr;
-        vmm_.suspendMpa(vmm_.pmap().translate(st[i].gpa));
-    }
 }
 
 void
@@ -601,129 +431,21 @@ CloakEngine::decryptPages(Resource& res,
     OSH_TRACE_SCOPE(&vmm_.machine().tracer(), trace::Category::Cloak,
                     "decrypt_batch", res.domain, 0, res.id,
                     items.size());
-    if (pool_.workers() <= 1 || items.size() == 1 || chunkedIntegrity_) {
-        for (const PageCryptoItem& item : items) {
-            decryptAndVerifyWith(res, item.pageIndex, *item.meta,
-                                 item.gpa, cipher);
-            // Same post-decrypt bookkeeping as a read resolution: the
-            // page is plaintext-clean (dirty when the clean
-            // optimization is off, so the stored IV/hash are never
-            // reused) and resident, and its shadows are suspended so
-            // the next access revalidates.
-            item.meta->state = cleanOptimization_
-                                   ? PageState::PlaintextClean
-                                   : PageState::PlaintextDirty;
-            item.meta->residentGpa = item.gpa;
-            plaintextIndex_[item.gpa] = {res.id, item.pageIndex};
-            vmm_.suspendMpa(vmm_.pmap().translate(item.gpa));
-        }
-    } else {
-        decryptPagesParallel(res, items, cipher);
-    }
-    stats_.counter("batch_decrypt_calls").inc();
-    stats_.counter("batch_decrypt_pages").inc(items.size());
-}
-
-void
-CloakEngine::decryptPagesParallel(Resource& res,
-                                  std::span<const PageCryptoItem> items,
-                                  const crypto::Aes128& cipher)
-{
-    auto& machine = vmm_.machine();
-
-    // Pre-pass: resolve frames on the calling thread (pmap::translate
-    // may lazily back a frame and bump its counters).
-    std::vector<CryptoStage> st(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        st[i].gpa = items[i].gpa;
-        st[i].frame = frameBytes(items[i].gpa);
-    }
-
-    // Fan-out: hash every ciphertext image and stage its decryption.
-    // No frame is written here — the ordered merge decides, page by
-    // page, whether the staged plaintext lands or the process dies
-    // mid-batch with every later frame untouched, exactly like the
-    // serial loop.
-    pool_.parallelFor(items.size(), [&](std::size_t i) {
-        const PageMeta& meta = *items[i].meta;
-        st[i].hash = pageHash(res, items[i].pageIndex, meta,
-                              st[i].frame);
-        std::memcpy(st[i].bytes.data(), st[i].frame.data(), pageSize);
-        crypto::aesCtrXcryptInPlace(
-            cipher, meta.iv,
-            std::span<std::uint8_t>(st[i].bytes.data(), pageSize));
-    });
-
-    // Ordered merge: verify and commit in submission order.
-    auto& cost = machine.cost();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        const PageCryptoItem& item = items[i];
-        PageMeta& meta = *item.meta;
-        auto frame = st[i].frame;
-        {
-            OSH_TRACE_SCOPE(&machine.tracer(), trace::Category::Cloak,
-                            "page_decrypt", res.domain, 0, res.id,
-                            item.pageIndex);
-            bool victim_hit = false;
-            if (VictimCache::Entry* v = victims_.find(
-                    res.id, item.pageIndex, meta.version)) {
-                if (v->iv == meta.iv &&
-                    constantTimeEqual(v->hash, meta.hash) &&
-                    std::memcmp(v->ciphertext.data(), frame.data(),
-                                frame.size()) == 0) {
-                    OSH_TRACE_INSTANT(&machine.tracer(),
-                                      trace::Category::Cloak,
-                                      "victim_decrypt", res.domain, 0,
-                                      res.id, item.pageIndex);
-                    std::memcpy(frame.data(), v->plaintext.data(),
-                                frame.size());
-                    cost.charge(cost.params().victimHitCopy +
-                                cost.params().cloakFaultFixed,
-                                "page_decrypt_victim");
-                    stats_.counter("victim_decrypt_hits").inc();
-                    stats_.counter("page_decrypts").inc();
-                    victim_hit = true;
-                } else {
-                    stats_.counter("victim_decrypt_mismatches").inc();
-                }
-            }
-            if (!victim_hit) {
-                cost.charge(cost.params().shaPerByte * (pageSize + 40) +
-                            cost.params().aesPerByte * pageSize +
-                            cost.params().cloakFaultFixed,
-                            "page_decrypt");
-                if (!constantTimeEqual(st[i].hash, meta.hash)) {
-                    violation(
-                        res, item.pageIndex,
-                        formatString(
-                            "integrity check failed for resource "
-                            "%llu page %llu",
-                            static_cast<unsigned long long>(res.id),
-                            static_cast<unsigned long long>(
-                                item.pageIndex)));
-                }
-                VictimCache::Entry* v = victims_.insert(
-                    res.id, item.pageIndex, meta.version);
-                if (v != nullptr) {
-                    v->iv = meta.iv;
-                    v->hash = meta.hash;
-                    std::memcpy(v->ciphertext.data(), frame.data(),
-                                frame.size());
-                }
-                std::memcpy(frame.data(), st[i].bytes.data(),
-                            frame.size());
-                if (v != nullptr)
-                    std::memcpy(v->plaintext.data(), frame.data(),
-                                frame.size());
-                stats_.counter("page_decrypts").inc();
-            }
-        }
-        meta.state = cleanOptimization_ ? PageState::PlaintextClean
-                                        : PageState::PlaintextDirty;
-        meta.residentGpa = item.gpa;
+    for (const PageCryptoItem& item : items) {
+        decryptAndVerifyWith(res, item.pageIndex, *item.meta, item.gpa,
+                             cipher);
+        // Same post-decrypt bookkeeping as a read resolution: the page
+        // is plaintext-clean (dirty when the clean optimization is off,
+        // so the stored IV/hash are never reused) and resident, and its
+        // shadows are suspended so the next access revalidates.
+        item.meta->state = cleanOptimization_ ? PageState::PlaintextClean
+                                              : PageState::PlaintextDirty;
+        item.meta->residentGpa = item.gpa;
         plaintextIndex_[item.gpa] = {res.id, item.pageIndex};
         vmm_.suspendMpa(vmm_.pmap().translate(item.gpa));
     }
+    stats_.counter("batch_decrypt_calls").inc();
+    stats_.counter("batch_decrypt_pages").inc(items.size());
 }
 
 std::size_t

@@ -24,7 +24,6 @@
 #define OSH_CLOAK_ENGINE_HH
 
 #include "base/expected.hh"
-#include "base/pool.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
 #include "cloak/errors.hh"
@@ -453,18 +452,6 @@ class CloakEngine : public vmm::CloakBackend
     }
 
     /**
-     * Host worker threads for the batched page-crypto paths
-     * (encryptPages / decryptPages and everything routed through them,
-     * including the prepareFramesForKernel pre-seal). 1 = the serial
-     * pre-pool behavior, 0 = one lane per hardware thread. Purely a
-     * host-speed knob: frames, metadata, victim-cache contents,
-     * simulated cycles and trace event order are identical for every
-     * setting (see encryptPagesParallel for the determinism argument).
-     */
-    void setCryptoWorkers(unsigned workers) { pool_.resize(workers); }
-    unsigned cryptoWorkers() const { return pool_.workers(); }
-
-    /**
      * Depth of the asynchronous eviction queue. 0 (the default) keeps
      * the exact synchronous legacy path: evictPageAsync always refuses
      * and the kernel seals + writes on its critical path. At depth N
@@ -504,6 +491,10 @@ class CloakEngine : public vmm::CloakBackend
      */
     void setConstantCostMode(bool on);
     bool constantCostMode() const { return constantCost_; }
+
+    /** The dirty full-seal charge — the cost every equalized branch
+     *  pays under constant-cost mode. */
+    Cycles worstCaseSealCycles() const;
 
   private:
     struct PlaintextRef
@@ -563,16 +554,6 @@ class CloakEngine : public vmm::CloakBackend
 
     /** Retire the oldest queued async eviction (stall + commit). */
     void drainOneAsyncEviction();
-
-    /** Parallel fan-out/ordered-merge bodies of the batch API, used
-     *  when the pool has more than one lane and the batch more than
-     *  one item. Output-identical to the serial loops. */
-    void encryptPagesParallel(Resource& res,
-                              std::span<const PageCryptoItem> items,
-                              const crypto::Aes128& cipher);
-    void decryptPagesParallel(Resource& res,
-                              std::span<const PageCryptoItem> items,
-                              const crypto::Aes128& cipher);
 
     /** Integrity hash of a ciphertext page bound to its identity. */
     crypto::Digest pageHash(const Resource& res, std::uint64_t page_index,
@@ -641,16 +622,9 @@ class CloakEngine : public vmm::CloakBackend
     /** Constant-cost responses (see setConstantCostMode). */
     bool constantCost_ = false;
 
-    /** The dirty full-seal charge — the cost every equalized branch
-     *  pays under constant-cost mode. */
-    Cycles worstCaseSealCycles() const;
-
     /** Is @p va_page inside any domain's cloaked region of @p asid?
      *  (The equalized-passthrough check; O(domains), cold path.) */
     bool inCloakedRegion(Asid asid, GuestVA va_page);
-
-    /** Host lanes for the batch paths; one lane = no threads. */
-    WorkerPool pool_{1};
 };
 
 /** Application identity: hash of the program name (stands in for a

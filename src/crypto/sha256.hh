@@ -54,8 +54,8 @@ class Sha256
     /**
      * Select the plain FIPS 180-4 compression loop process-wide
      * (differential tests, host-speed ablation). Off (the default)
-     * uses the unrolled rolling-schedule kernel. Atomic: crypto pool
-     * workers hash concurrently.
+     * uses the unrolled rolling-schedule kernel. Atomic: host threads
+     * may hash concurrently.
      */
     static void setReferenceCompression(bool on)
     {

@@ -47,16 +47,6 @@ SystemConfig::Builder::build() const
             "SystemConfig: victimCacheEntries configured with "
             "cloaking disabled — nothing would ever use it");
     }
-    if (cfg_.cryptoWorkers > 256) {
-        throw std::invalid_argument(
-            "SystemConfig: cryptoWorkers > 256 — no host has that "
-            "many lanes (0 means one per hardware thread)");
-    }
-    if (!cfg_.cloakingEnabled && cfg_.cryptoWorkers > 1) {
-        throw std::invalid_argument(
-            "SystemConfig: cryptoWorkers configured with cloaking "
-            "disabled — there is no page crypto to parallelize");
-    }
     if (cfg_.vcpus > 64) {
         throw std::invalid_argument(
             "SystemConfig: vcpus > 64 — the SMP model does not scale "
@@ -127,8 +117,6 @@ System::System(const SystemConfig& config)
         engine_->setCleanOptimization(config.cleanOptimization);
         engine_->setVictimCacheCapacity(config.victimCacheEntries);
         engine_->setAuditLogCapacity(config.auditLogEntries);
-        engine_->setCryptoWorkers(
-            static_cast<unsigned>(config.cryptoWorkers));
         engine_->setAsyncEvictDepth(config.asyncEvictDepth);
         engine_->setChunkedIntegrity(config.chunkedIntegrity);
         engine_->setConstantCostMode(config.constantCostCloak);

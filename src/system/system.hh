@@ -74,15 +74,6 @@ struct SystemConfig
     std::size_t auditLogEntries = 256;
 
     /**
-     * Host worker threads for batched page crypto (encryptPages /
-     * decryptPages / the prepareFramesForKernel pre-seal). 0 = one
-     * lane per hardware thread (the default), 1 = the serial pre-pool
-     * behavior. Purely a host-speed knob: simulated cycles, frames,
-     * metadata and trace event order are identical for every setting.
-     */
-    std::size_t cryptoWorkers = 0;
-
-    /**
      * Simulated vCPUs the guest scheduler dispatches across (SMP).
      * 0 and 1 both run the exact legacy single-core path. Dispatch
      * order is vCPU-count invariant (one ready queue, op-count
@@ -225,11 +216,6 @@ class SystemConfig::Builder
     Builder& auditLogEntries(std::size_t n)
     {
         cfg_.auditLogEntries = n;
-        return *this;
-    }
-    Builder& cryptoWorkers(std::size_t n)
-    {
-        cfg_.cryptoWorkers = n;
         return *this;
     }
     Builder& vcpus(std::size_t n)

@@ -122,13 +122,12 @@ struct TraceConfig
  * Thread safety: the recording entry points (complete / instant /
  * count / clear) serialize on an internal mutex, so concurrent
  * emission is race-free. Deterministic event *order* is a stronger
- * property the callers provide: the parallel page-crypto paths emit
- * every event from their ordered merge on the calling thread (pool
- * workers never trace), which is an ordered flush — the ring contents
- * are identical for any worker count, and the mutex is only a backstop
- * for future cross-thread emitters. Readers (buffer(), metrics(),
- * snapshot()) must run with no recorder active, which every exporter
- * already does (reports run after the measured phase).
+ * property the callers provide: guest execution is serialized under
+ * the simulation lock, so every event is recorded in simulation order
+ * and the mutex is only a backstop for cross-thread emitters. Readers
+ * (buffer(), metrics(), snapshot()) must run with no recorder active,
+ * which every exporter already does (reports run after the measured
+ * phase).
  */
 class Tracer
 {

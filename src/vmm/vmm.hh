@@ -145,10 +145,10 @@ class Vmm
      * copy, fsync writeback, swap-out): ask the cloak backend to seal
      * any listed frames still holding cloaked plaintext in one batch
      * instead of one fault at a time. Safe to call with frames in any
-     * state; returns the number actually sealed. When the backend's
-     * crypto worker pool has more than one lane, the per-frame AES+SHA
-     * of the batch fans out across host threads with deterministic,
-     * cycle-identical results (see CloakEngine::setCryptoWorkers).
+     * state; returns the number actually sealed. The batch runs each
+     * frame through the same per-page seal as a fault would, so its
+     * cycles, bytes and trace events equal the one-at-a-time path
+     * (see CloakEngine::encryptPages).
      */
     std::size_t prepareFramesForKernel(std::span<const Gpa> gpas);
 

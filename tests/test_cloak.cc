@@ -277,29 +277,6 @@ TEST(CloakTransparency, WorkloadsProduceIdenticalResults)
     }
 }
 
-TEST(CloakTransparency, CryptoWorkerCountInvisible)
-{
-    // The crypto worker pool is a host-speed knob only: a full cloaked
-    // workload that swaps (driving the bulk pre-seal and decrypt batch
-    // paths) must produce the same result and charge the same total
-    // simulated cycles at any worker count.
-    auto run = [](std::size_t workers) {
-        SystemConfig cfg = cloakedConfig(96);
-        cfg.cryptoWorkers = workers;
-        System sys(cfg);
-        workloads::registerAll(sys);
-        auto r = sys.runProgram("wl.memstress", {"200", "2"});
-        EXPECT_EQ(r.status, 0) << "workers=" << workers << ": "
-                               << r.killReason;
-        return std::pair{workloads::resultOf(sys, "wl.memstress"),
-                         sys.cycles()};
-    };
-    auto serial = run(1);
-    auto pooled = run(8);
-    EXPECT_EQ(pooled.first, serial.first);
-    EXPECT_EQ(pooled.second, serial.second);
-}
-
 TEST(CloakFork, ChildInheritsSecretsAndDiverges)
 {
     System sys(cloakedConfig());

@@ -328,23 +328,6 @@ TEST(BuilderTest, RejectsNonsenseConfigs)
                      .victimCacheEntries(4)
                      .build(),
                  std::invalid_argument);
-    EXPECT_THROW(SystemConfig::Builder{}.cryptoWorkers(257).build(),
-                 std::invalid_argument);
-    EXPECT_THROW(SystemConfig::Builder{}
-                     .cloaking(false)
-                     .cryptoWorkers(8)
-                     .build(),
-                 std::invalid_argument);
-    // 0 (auto) and 1 (serial) are valid with cloaking on or off.
-    EXPECT_EQ(SystemConfig::Builder{}.cryptoWorkers(8).build()
-                  .cryptoWorkers,
-              8u);
-    EXPECT_EQ(SystemConfig::Builder{}
-                  .cloaking(false)
-                  .cryptoWorkers(1)
-                  .build()
-                  .cryptoWorkers,
-              1u);
 }
 
 TEST(BuilderTest, BuildsValidatedConfig)

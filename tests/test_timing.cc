@@ -19,7 +19,9 @@
  *   - the Sys::Sleep clamp: a hostile/buggy guest cannot charge an
  *     unvalidated 2^64-cycle sleep to the simulated clock;
  *   - the CloakIntrospect hypercall: a cloaked guest can query which
- *     hardening posture it is running under.
+ *     hardening posture it is running under;
+ *   - constant-cost seals: under constantCostCloak every page-seal span,
+ *     fault-driven or batched, lasts exactly the dirty worst case.
  */
 
 #include "attack/campaign.hh"
@@ -27,6 +29,7 @@
 #include "os/env.hh"
 #include "os/syscalls.hh"
 #include "system/system.hh"
+#include "trace/trace.hh"
 #include "vmm/hooks.hh"
 #include "vmm/vmm.hh"
 #include "workloads/workloads.hh"
@@ -293,6 +296,50 @@ TEST(TimingCampaign, ProbesStayQuietOnOtherVictims)
     EXPECT_EQ(cell.verdict, Verdict::Harmless) << cell.detail;
     EXPECT_EQ(cell.firings, 0u);
 }
+
+// ---------------------------------------------------------------------------
+// Constant-cost cloak responses
+// ---------------------------------------------------------------------------
+
+#if OSH_TRACE_ENABLED
+TEST(ConstantCost, EverySealSpanChargesTheWorstCase)
+{
+    // Under constant-cost mode a page seal must take the same simulated
+    // time whether the page was dirty (fresh IV + AES + SHA), clean
+    // (AES only) or served from the victim cache (a copy) — otherwise
+    // its duration tells the kernel whether the victim wrote the page.
+    // The fsync and write pre-seals reach the seal through the batch
+    // path, so both workloads exercise it alongside the fault path.
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        runs = {{"wl.victim.fileio", {}},
+                {"wl.fileserver", {"64", "20", "2048"}}};
+    for (const auto& [name, argv] : runs) {
+        SCOPED_TRACE(name);
+        System sys(SystemConfig::Builder{}
+                       .constantCostCloak(true)
+                       .trace(trace::TraceConfig{true, 1 << 12})
+                       .build());
+        workloads::registerAll(sys);
+        auto r = sys.runProgram(name, argv);
+        ASSERT_EQ(r.status, 0) << r.killReason;
+
+        const Cycles worst = sys.cloak()->worstCaseSealCycles();
+        const auto cat = static_cast<std::uint8_t>(trace::Category::Cloak);
+        std::uint64_t seals = 0;
+        for (const char* span :
+             {"page_encrypt", "clean_reencrypt", "victim_reencrypt"}) {
+            const trace::LatencyHistogram* h =
+                sys.tracer().metrics().findHistogram(cat, span);
+            if (h == nullptr)
+                continue;
+            EXPECT_EQ(h->min(), worst) << span;
+            EXPECT_EQ(h->max(), worst) << span;
+            seals += h->count();
+        }
+        EXPECT_GT(seals, 0u);
+    }
+}
+#endif // OSH_TRACE_ENABLED
 
 } // namespace
 } // namespace osh
