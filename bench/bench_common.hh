@@ -236,7 +236,7 @@ class BenchReport
         set(prefix + ".cycles", sys.cycles());
         setGroup(prefix, sys.vmm().stats());
         setGroup(prefix, sys.vmm().shadows().stats());
-        setGroup(prefix, sys.vmm().tlb().stats());
+        setGroup(prefix, sys.vmm().tlb(0).stats());
         setGroup(prefix, sys.sched().stats());
         if (sys.cloak() != nullptr) {
             setGroup(prefix, sys.cloak()->stats());

@@ -16,8 +16,8 @@
  *   - peak shadow-page-table slots and peak metadata footprint bytes
  *     (ungated; sub-linear per tenant — they track live tenants, not
  *     historical ones);
- *   - context switches, derived AES keys (linear in N: key identities
- *     persist for the store's lifetime), metadata shard count;
+ *   - context switches and derived AES keys (linear in N: key
+ *     identities persist for the store's lifetime);
  *   - host wall time (host_ prefix, never gated).
  *
  * Writes BENCH_scale.json; CI runs `--quick` (10 and 100 only) against
@@ -48,7 +48,6 @@ struct ScalePoint
     Cycles cycles = 0;
     std::uint64_t shadowPeakSlots = 0;
     std::uint64_t metaPeakBytes = 0;
-    std::uint64_t metaShards = 0;
     std::uint64_t contextSwitches = 0;
     std::uint64_t derivedKeys = 0;
     std::uint64_t hostNs = 0;
@@ -106,7 +105,6 @@ runScale(std::uint64_t n)
     p.cycles = sys.cycles();
     p.shadowPeakSlots = sys.vmm().shadows().peakSlotCount();
     p.metaPeakBytes = sys.cloak()->metadata().peakFootprintBytes();
-    p.metaShards = sys.cloak()->metadata().shardCount();
     p.contextSwitches =
         sys.machine().cost().stats().value("context_switch");
     p.derivedKeys = sys.cloak()->keys().derivedKeyCount();
@@ -153,7 +151,6 @@ main(int argc, char** argv)
         report.set(k + ".per_tenant_cycles", p.cycles / n);
         report.set(k + ".shadow_peak_slots", p.shadowPeakSlots);
         report.set(k + ".meta_peak_bytes", p.metaPeakBytes);
-        report.set(k + ".meta_shards", p.metaShards);
         report.set(k + ".context_switches", p.contextSwitches);
         report.set(k + ".derived_keys", p.derivedKeys);
         report.setHost(k + ".ns", p.hostNs);

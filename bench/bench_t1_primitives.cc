@@ -192,8 +192,8 @@ primitives()
          [](Ctx& c) {
              c.h.vmm.shadows().invalidateVa(Harness::appAsid,
                                             Harness::appVa);
-             c.h.vmm.tlb().invalidateVa(Harness::appAsid,
-                                        Harness::appVa);
+             c.h.vmm.tlb(0).invalidateVa(Harness::appAsid,
+                                         Harness::appVa);
          },
          [](Ctx& c) { c.app.load64(Harness::appVa); }},
 

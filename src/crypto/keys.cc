@@ -1,24 +1,19 @@
 #include "crypto/keys.hh"
 
 #include "base/bytes.hh"
-#include "base/logging.hh"
 
 #include <cstring>
 
 namespace osh::crypto
 {
 
-KeyManager::KeyManager(std::uint64_t master_seed, std::size_t shards)
+KeyManager::KeyManager(std::uint64_t master_seed)
 {
-    osh_assert(shards > 0, "KeyManager needs at least one shard");
     std::uint8_t seed_bytes[16] = {};
     storeLe64(seed_bytes, master_seed);
     std::memcpy(seed_bytes + 8, "OSHMSTR!", 8);
     master_ = Sha256::hash(seed_bytes);
     masterHmac_ = HmacKey(master_);
-    shards_.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i)
-        shards_.push_back(std::make_unique<Shard>());
 }
 
 AesKey
@@ -43,11 +38,11 @@ KeyManager::deriveSealingKey(ResourceId resource) const
 }
 
 const Aes128&
-KeyManager::cipherLocked(Shard& sh, ResourceId resource)
+KeyManager::cipherLocked(ResourceId resource)
 {
-    auto it = sh.ciphers.find(resource);
-    if (it == sh.ciphers.end()) {
-        it = sh.ciphers
+    auto it = ciphers_.find(resource);
+    if (it == ciphers_.end()) {
+        it = ciphers_
                  .emplace(resource, std::make_unique<Aes128>(
                                         deriveAesKey(resource)))
                  .first;
@@ -56,17 +51,17 @@ KeyManager::cipherLocked(Shard& sh, ResourceId resource)
 }
 
 const HmacKey&
-KeyManager::sealingHmacLocked(const Shard& sh, ResourceId resource) const
+KeyManager::sealingHmacLocked(ResourceId resource) const
 {
-    auto it = sh.sealingHmacs.find(resource);
-    if (it == sh.sealingHmacs.end()) {
-        auto kit = sh.sealingKeys.find(resource);
-        if (kit == sh.sealingKeys.end()) {
-            kit = sh.sealingKeys
+    auto it = sealingHmacs_.find(resource);
+    if (it == sealingHmacs_.end()) {
+        auto kit = sealingKeys_.find(resource);
+        if (kit == sealingKeys_.end()) {
+            kit = sealingKeys_
                       .emplace(resource, deriveSealingKey(resource))
                       .first;
         }
-        it = sh.sealingHmacs.emplace(resource, HmacKey(kit->second))
+        it = sealingHmacs_.emplace(resource, HmacKey(kit->second))
                  .first;
     }
     return it->second;
@@ -75,33 +70,28 @@ KeyManager::sealingHmacLocked(const Shard& sh, ResourceId resource) const
 KeyHandle
 KeyManager::acquire(ResourceId resource)
 {
-    std::uint32_t idx = shardOf(resource);
-    Shard& sh = *shards_[idx];
-    std::lock_guard<std::mutex> lk(sh.lock);
+    std::lock_guard<std::mutex> lk(lock_);
     KeyHandle h;
-    h.cipher_ = &cipherLocked(sh, resource);
-    h.sealingHmac_ = &sealingHmacLocked(sh, resource);
+    h.cipher_ = &cipherLocked(resource);
+    h.sealingHmac_ = &sealingHmacLocked(resource);
     h.keyId_ = resource;
-    h.shard_ = idx;
     return h;
 }
 
 const Aes128&
 KeyManager::pageCipher(ResourceId resource)
 {
-    Shard& sh = *shards_[shardOf(resource)];
-    std::lock_guard<std::mutex> lk(sh.lock);
-    return cipherLocked(sh, resource);
+    std::lock_guard<std::mutex> lk(lock_);
+    return cipherLocked(resource);
 }
 
 Digest
 KeyManager::sealingKey(ResourceId resource) const
 {
-    const Shard& sh = *shards_[shardOf(resource)];
-    std::lock_guard<std::mutex> lk(sh.lock);
-    auto it = sh.sealingKeys.find(resource);
-    if (it == sh.sealingKeys.end()) {
-        it = sh.sealingKeys.emplace(resource, deriveSealingKey(resource))
+    std::lock_guard<std::mutex> lk(lock_);
+    auto it = sealingKeys_.find(resource);
+    if (it == sealingKeys_.end()) {
+        it = sealingKeys_.emplace(resource, deriveSealingKey(resource))
                  .first;
     }
     return it->second;
@@ -119,20 +109,15 @@ KeyManager::migrationKey(std::uint64_t nonce) const
 const HmacKey&
 KeyManager::sealingHmacKey(ResourceId resource) const
 {
-    const Shard& sh = *shards_[shardOf(resource)];
-    std::lock_guard<std::mutex> lk(sh.lock);
-    return sealingHmacLocked(sh, resource);
+    std::lock_guard<std::mutex> lk(lock_);
+    return sealingHmacLocked(resource);
 }
 
 std::size_t
 KeyManager::derivedKeyCount() const
 {
-    std::size_t n = 0;
-    for (const auto& sh : shards_) {
-        std::lock_guard<std::mutex> lk(sh->lock);
-        n += sh->ciphers.size();
-    }
-    return n;
+    std::lock_guard<std::mutex> lk(lock_);
+    return ciphers_.size();
 }
 
 } // namespace osh::crypto

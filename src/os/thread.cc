@@ -13,7 +13,10 @@ thread_local std::unique_lock<std::mutex>* tlsHostLock = nullptr;
 
 } // namespace
 
-Scheduler::Scheduler(sim::CostModel& cost) : cost_(cost), stats_("sched")
+Scheduler::Scheduler(sim::CostModel& cost)
+    : cost_(cost), stats_("sched"),
+      dispatches_(stats_.counter("dispatches")),
+      cpuMigrations_(stats_.counter("cpu_migrations"))
 {
 }
 
@@ -30,15 +33,11 @@ Scheduler::configureCpus(std::size_t count)
 void
 Scheduler::assignCpu(Thread* t)
 {
-    // Single-core runs take the exact legacy path: no slot bookkeeping,
-    // no extra stat keys, cpu stays 0.
-    if (cpuCount_ <= 1)
-        return;
     auto slot = static_cast<std::uint32_t>(nextCpuSlot_);
     nextCpuSlot_ = (nextCpuSlot_ + 1) % cpuCount_;
-    stats_.counter("dispatches").inc();
+    dispatches_.inc();
     if (t->vcpu.cpu() != slot) {
-        stats_.counter("cpu_migrations").inc();
+        cpuMigrations_.inc();
         t->vcpu.setCpu(slot);
     }
 }
@@ -105,7 +104,7 @@ Scheduler::switchFrom(Thread* cur, std::unique_lock<std::mutex>& lk,
             cost_.charge(cost_.params().contextSwitch, "context_switch");
             assignCpu(next);
             if (switchHook_)
-                switchHook_(*next);
+                switchHook_();
             next->cv.notify_all();
         }
     } else {

@@ -150,11 +150,10 @@ class Scheduler
 
     /**
      * Hook invoked (with the simulation lock held) whenever the CPU is
-     * handed to a *different* thread — the simulator's CR3-write point.
-     * The incoming thread is passed so the system layer can tell the
-     * VMM which vCPU slot took the switch (shadow/TLB retention).
+     * handed to a *different* thread — the simulator's CR3-write point
+     * (shadow/TLB retention).
      */
-    void setSwitchHook(std::function<void(Thread&)> hook)
+    void setSwitchHook(std::function<void()> hook)
     {
         switchHook_ = std::move(hook);
     }
@@ -198,18 +197,14 @@ class Scheduler
     void switchFrom(Thread* cur, std::unique_lock<std::mutex>& lk,
                     bool exiting);
 
-    /**
-     * Bind a freshly dispatched thread to a core slot (seeded
-     * round-robin). A no-op on single-core runs, so the legacy stat
-     * set and slot-0 TLB behavior are untouched there.
-     */
+    /** Bind a freshly dispatched thread to a core slot (round-robin). */
     void assignCpu(Thread* t);
 
     sim::CostModel& cost_;
     std::mutex lock_;
     std::condition_variable driverCv_;
 
-    std::function<void(Thread&)> switchHook_;
+    std::function<void()> switchHook_;
     std::vector<std::unique_ptr<Thread>> threads_;
     /** Non-zombie threads, the wakeAll scan set. Finished threads are
      *  dropped lazily so scans stay proportional to live threads, not
@@ -217,7 +212,7 @@ class Scheduler
     std::vector<Thread*> active_;
     std::deque<Thread*> readyQueue_;
     Thread* current_ = nullptr;
-    /** Simulated physical cores (1 = exact legacy single-core path). */
+    /** Simulated physical cores. */
     std::size_t cpuCount_ = 1;
     /** Next round-robin core slot handed out at dispatch. */
     std::size_t nextCpuSlot_ = 0;
@@ -231,6 +226,9 @@ class Scheduler
      *  driver because only frozen/blocked threads remain. */
     bool paused_ = false;
     StatGroup stats_;
+    /** Resolved once: assignCpu runs on every dispatch. */
+    Counter& dispatches_;
+    Counter& cpuMigrations_;
 };
 
 } // namespace osh::os

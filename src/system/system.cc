@@ -47,20 +47,13 @@ SystemConfig::Builder::build() const
             "SystemConfig: victimCacheEntries configured with "
             "cloaking disabled — nothing would ever use it");
     }
+    if (cfg_.vcpus == 0)
+        throw std::invalid_argument(
+            "SystemConfig: vcpus must be > 0 (a guest needs a core)");
     if (cfg_.vcpus > 64) {
         throw std::invalid_argument(
             "SystemConfig: vcpus > 64 — the SMP model does not scale "
-            "past commodity core counts (0 means single-core)");
-    }
-    if (cfg_.metadataShards > 256) {
-        throw std::invalid_argument(
-            "SystemConfig: metadataShards > 256 — stripes beyond any "
-            "plausible core count only waste memory (0 follows vcpus)");
-    }
-    if (!cfg_.cloakingEnabled && cfg_.metadataShards > 1) {
-        throw std::invalid_argument(
-            "SystemConfig: metadataShards configured with cloaking "
-            "disabled — there is no protection metadata to shard");
+            "past commodity core counts");
     }
     if (cfg_.asyncEvictDepth > 256) {
         throw std::invalid_argument(
@@ -83,6 +76,13 @@ SystemConfig::Builder::build() const
             "SystemConfig: constantCostCloak configured with cloaking "
             "disabled — there are no cloak responses to equalize");
     }
+    if (cfg_.constantCostCloak && cfg_.chunkedIntegrity) {
+        throw std::invalid_argument(
+            "SystemConfig: constantCostCloak with chunkedIntegrity — "
+            "chunked seals cost a copy when clean and scale with the "
+            "dirty-chunk count otherwise, so seal time would still tell "
+            "the kernel how much of a page the victim wrote");
+    }
     if (cfg_.attackSeed != 0 && cfg_.attackSeed == cfg_.seed) {
         throw std::invalid_argument(
             "SystemConfig: attackSeed must differ from seed — an "
@@ -100,20 +100,17 @@ System::System(const SystemConfig& config)
       kernel_(vmm_, sched_, programs_)
 {
     vmm_.setShadowRetention(config.shadowRetention);
-    vmm_.setVcpuCount(config.effectiveVcpus());
+    vmm_.setVcpuCount(config.vcpus);
     // A distinct sub-seed keeps the spoofed-clock stream from aliasing
     // workload or attack randomness.
     vmm_.configureVirtualClock(config.clockFuzzCycles,
                                config.clockOffsetCycles,
                                config.seed ^ 0x7c10c5eedull);
-    sched_.configureCpus(config.effectiveVcpus());
-    sched_.setSwitchHook([this](os::Thread& t) {
-        vmm_.onContextSwitch(t.vcpu.cpu());
-    });
+    sched_.configureCpus(config.vcpus);
+    sched_.setSwitchHook([this] { vmm_.onContextSwitch(); });
     if (config.cloakingEnabled) {
         engine_ = std::make_unique<cloak::CloakEngine>(
-            vmm_, config.seed ^ 0x05ead0u, config.metadataCacheEntries,
-            config.effectiveMetadataShards());
+            vmm_, config.seed ^ 0x05ead0u, config.metadataCacheEntries);
         engine_->setCleanOptimization(config.cleanOptimization);
         engine_->setVictimCacheCapacity(config.victimCacheEntries);
         engine_->setAuditLogCapacity(config.auditLogEntries);

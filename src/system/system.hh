@@ -74,22 +74,13 @@ struct SystemConfig
     std::size_t auditLogEntries = 256;
 
     /**
-     * Simulated vCPUs the guest scheduler dispatches across (SMP).
-     * 0 and 1 both run the exact legacy single-core path. Dispatch
-     * order is vCPU-count invariant (one ready queue, op-count
-     * preemption), so guest-visible results and attack-campaign
+     * Simulated vCPUs the guest scheduler dispatches across (SMP,
+     * 1..64). Dispatch order is vCPU-count invariant (one ready queue,
+     * op-count preemption), so guest-visible results and attack-campaign
      * verdicts are identical at any count; cycle totals vary because
      * each core warms a private TLB.
      */
-    std::size_t vcpus = 0;
-
-    /**
-     * Lock stripes for the metadata store and key manager (per-ASID
-     * sharding). 0 = one stripe per vCPU; 1 = the exact legacy
-     * single-map layout. Purely a concurrency-structure knob: ids,
-     * cycles and cache behavior are identical for every value.
-     */
-    std::size_t metadataShards = 0;
+    std::size_t vcpus = 1;
 
     /**
      * Seed for hostile-kernel attack injection (src/attack campaigns).
@@ -140,23 +131,10 @@ struct SystemConfig
      * cycles, and kernel passthrough of an already-sealed cloaked page
      * charges a full seal — so the distinguishable branches collapse
      * to one cost. Bytes and verdict-relevant behavior are unchanged;
-     * only cycle accounting differs. Requires cloaking.
+     * only cycle accounting differs. Requires cloaking and excludes
+     * chunkedIntegrity, whose seal paths are not equalized.
      */
     bool constantCostCloak = false;
-
-    /** vCPU count actually simulated (resolves the 0 default). */
-    std::size_t
-    effectiveVcpus() const
-    {
-        return vcpus != 0 ? vcpus : 1;
-    }
-
-    /** Metadata/key shard count actually used (0 follows the vCPUs). */
-    std::size_t
-    effectiveMetadataShards() const
-    {
-        return metadataShards != 0 ? metadataShards : effectiveVcpus();
-    }
 
     /** The attack-injection seed actually used (resolves the 0 case). */
     std::uint64_t
@@ -221,11 +199,6 @@ class SystemConfig::Builder
     Builder& vcpus(std::size_t n)
     {
         cfg_.vcpus = n;
-        return *this;
-    }
-    Builder& metadataShards(std::size_t n)
-    {
-        cfg_.metadataShards = n;
         return *this;
     }
     Builder& attackSeed(std::uint64_t s)

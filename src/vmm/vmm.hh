@@ -52,8 +52,6 @@ class Vmm
     sim::Machine& machine() { return machine_; }
     Pmap& pmap() { return pmap_; }
     ShadowManager& shadows() { return shadows_; }
-    /** vCPU 0's TLB (the legacy single-core accessor). */
-    Tlb& tlb() { return *tlbs_[0]; }
     /** The TLB of one vCPU slot (out-of-range clamps to slot 0). */
     Tlb&
     tlb(std::uint32_t cpu)
@@ -125,12 +123,9 @@ class Vmm
      * ASID-tagged retention (the default) shadows and TLB entries stay
      * live — resuming a process costs nothing here. With retention
      * disabled, every cached translation is flushed, modelling a VMM
-     * whose shadow cache is not tagged by address space. The @p cpu
-     * overload records per-slot switch counts when more than one vCPU
-     * is configured (single-core runs keep the legacy stat set).
+     * whose shadow cache is not tagged by address space.
      */
     void onContextSwitch();
-    void onContextSwitch(std::uint32_t cpu);
 
     /** Enable/disable ASID-tagged shadow retention (ablation knob). */
     void setShadowRetention(bool on) { shadowRetention_ = on; }
@@ -182,8 +177,8 @@ class Vmm
     sim::Machine& machine_;
     Pmap pmap_;
     ShadowManager shadows_;
-    /** One private TLB per vCPU slot; slot 0 keeps the legacy "tlb"
-     *  stat name so single-core baselines are unchanged. */
+    /** One private TLB per vCPU slot; slot 0's stat group is "tlb",
+     *  slot k's "tlbk". */
     std::vector<std::unique_ptr<Tlb>> tlbs_;
     std::unique_ptr<CloakBackend> passthrough_;
     CloakBackend* cloak_;

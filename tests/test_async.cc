@@ -526,9 +526,9 @@ TEST(AsyncCampaign, SwapAttackVerdictsDepthInvariant)
          {AttackPoint::Baseline, AttackPoint::SwapTamperByte,
           AttackPoint::SwapReplay, AttackPoint::SwapResurrect}) {
         CampaignCell d0 =
-            attack::runCell(1, p, "wl.victim.paging", 0, 0);
+            attack::runCell(1, p, "wl.victim.paging", 1, 0);
         CampaignCell d4 =
-            attack::runCell(1, p, "wl.victim.paging", 0, 4);
+            attack::runCell(1, p, "wl.victim.paging", 1, 4);
         EXPECT_EQ(d4.verdict, d0.verdict)
             << attack::attackPointName(p);
         EXPECT_EQ(d4.detail, d0.detail) << attack::attackPointName(p);

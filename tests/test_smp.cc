@@ -10,16 +10,10 @@
  *     guest-visible results (statuses, checksums) are identical at
  *     1, 2 or 8 vCPUs — only cycle totals may differ, because each
  *     core warms a private TLB;
- *   - shard-count invariance is stronger: the metadata LRU cache stays
- *     global, resource ids stay globally monotonic and key derivation
- *     is pure, so sharding changes *nothing* — results AND cycles are
- *     bit-identical at any stripe count;
- *   - fork/exec/exit must hold up when parent and child land in
- *     different metadata shards;
+ *   - fork/exec/exit must give the same results at 1 and 4 vCPUs;
  *   - attack-campaign verdicts must not move with the vCPU count (the
- *     216-cell expectation table is pinned single-core);
- *   - single-core runs must not grow new stat keys (bench baselines
- *     enumerate them).
+ *     expectation table is pinned at one vCPU);
+ *   - every run, single-core included, counts its dispatches.
  */
 
 #include "attack/campaign.hh"
@@ -29,10 +23,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 namespace osh::system
@@ -55,14 +48,13 @@ struct RunOutcome
  * order plus total simulated cycles.
  */
 RunOutcome
-runTenants(std::size_t vcpus, std::size_t shards, std::uint64_t n)
+runTenants(std::size_t vcpus, std::uint64_t n)
 {
     auto cfg = SystemConfig::Builder{}
                    .seed(smpSeed)
                    .guestFrames(1024)
                    .cloaking(true)
                    .vcpus(vcpus)
-                   .metadataShards(shards)
                    .preemptOpsPerTick(300)
                    .build();
     System sys(cfg);
@@ -87,9 +79,9 @@ runTenants(std::size_t vcpus, std::size_t shards, std::uint64_t n)
 
 TEST(Smp, TenantsComputeCorrectlyWhileInterleaved)
 {
-    // Concurrent cloaked faults on distinct ASIDs across 4 vCPUs and
-    // 4 shards: every tenant must still match the host-side mirror.
-    RunOutcome out = runTenants(4, 4, 12);
+    // Concurrent cloaked faults on distinct ASIDs across 4 vCPUs:
+    // every tenant must still match the host-side mirror.
+    RunOutcome out = runTenants(4, 12);
     for (std::uint64_t i = 0; i < out.statuses.size(); ++i) {
         EXPECT_EQ(out.statuses[i],
                   workloads::tenantStatus(smpSeed, i, tenantPages))
@@ -99,55 +91,39 @@ TEST(Smp, TenantsComputeCorrectlyWhileInterleaved)
 
 TEST(Smp, GuestResultsInvariantAcrossVcpuCounts)
 {
-    RunOutcome one = runTenants(1, 1, 12);
-    RunOutcome two = runTenants(2, 1, 12);
-    RunOutcome eight = runTenants(8, 1, 12);
+    RunOutcome one = runTenants(1, 12);
+    RunOutcome two = runTenants(2, 12);
+    RunOutcome eight = runTenants(8, 12);
     EXPECT_EQ(one.statuses, two.statuses);
     EXPECT_EQ(one.statuses, eight.statuses);
 }
 
-TEST(Smp, CyclesAndResultsInvariantAcrossShardCounts)
-{
-    // Sharding is pure concurrency structure: with the vCPU count
-    // fixed, every stripe count must produce bit-identical runs.
-    RunOutcome s1 = runTenants(2, 1, 12);
-    RunOutcome s2 = runTenants(2, 2, 12);
-    RunOutcome s8 = runTenants(2, 8, 12);
-    EXPECT_EQ(s1.statuses, s2.statuses);
-    EXPECT_EQ(s1.statuses, s8.statuses);
-    EXPECT_EQ(s1.cycles, s2.cycles);
-    EXPECT_EQ(s1.cycles, s8.cycles);
-}
-
-/** Run one workload to completion, returning status + checksum + cycles. */
-std::tuple<int, std::string, Cycles>
-runWorkload(const std::string& name, std::size_t vcpus,
-            std::size_t shards)
+/** Run one workload to completion, returning status + checksum. */
+std::pair<int, std::string>
+runWorkload(const std::string& name, std::size_t vcpus)
 {
     auto cfg = SystemConfig::Builder{}
                    .seed(smpSeed)
                    .guestFrames(1024)
                    .cloaking(true)
                    .vcpus(vcpus)
-                   .metadataShards(shards)
                    .build();
     System sys(cfg);
     workloads::registerAll(sys);
     ExitResult r = sys.runProgram(name);
-    return {r.status, workloads::resultOf(sys, name), sys.cycles()};
+    return {r.status, workloads::resultOf(sys, name)};
 }
 
-TEST(Smp, ForkExecExitAcrossShards)
+TEST(Smp, ForkExecExitAcrossVcpuCounts)
 {
     // wl.build forks/spawns a pipe tree; wl.victim.fileio execs across
-    // a protected file. Parent and children land in different metadata
-    // shards at 4 stripes; everything must match the 1-stripe run.
+    // a protected file. Parents and children land on different vCPUs
+    // at 4 cores; status and checksum must match the 1-vCPU run.
     for (const char* wl : {"wl.build", "wl.victim.fileio"}) {
-        auto [st1, sum1, cyc1] = runWorkload(wl, 1, 1);
-        auto [st4, sum4, cyc4] = runWorkload(wl, 1, 4);
+        auto [st1, sum1] = runWorkload(wl, 1);
+        auto [st4, sum4] = runWorkload(wl, 4);
         EXPECT_EQ(st1, st4) << wl;
         EXPECT_EQ(sum1, sum4) << wl;
-        EXPECT_EQ(cyc1, cyc4) << wl;
         EXPECT_EQ(st1, 0) << wl;
     }
 }
@@ -176,65 +152,33 @@ TEST(Smp, CampaignVerdictsInvariantAcrossVcpuCounts)
     }
 }
 
-/** Does the group's snapshot contain a counter with this name? */
-bool
-hasCounter(StatGroup& group, const std::string& name)
+TEST(Smp, SingleCoreRunsCountDispatches)
 {
-    for (const auto& [n, v] : group.snapshot()) {
-        if (n == name)
-            return true;
-    }
-    return false;
-}
-
-TEST(Smp, SingleCoreRunsKeepTheLegacyStatSet)
-{
-    // The committed bench baselines enumerate every stat key of a
-    // single-core run; SMP bookkeeping must not leak into them.
-    auto run = [](std::size_t vcpus) {
-        auto cfg = SystemConfig::Builder{}
-                       .seed(smpSeed)
-                       .guestFrames(1024)
-                       .cloaking(true)
-                       .vcpus(vcpus)
-                       .preemptOpsPerTick(300)
-                       .build();
-        auto sys = std::make_unique<System>(cfg);
-        workloads::registerAll(*sys);
-        sys->launch("wl.tenant", {"0", "2"});
-        sys->launch("wl.tenant", {"1", "2"});
-        sys->run();
-        return sys;
-    };
-    auto legacy = run(1);
-    EXPECT_FALSE(hasCounter(legacy->sched().stats(), "dispatches"));
-    EXPECT_FALSE(hasCounter(legacy->sched().stats(), "cpu_migrations"));
-    EXPECT_FALSE(hasCounter(legacy->vmm().stats(), "switches_cpu0"));
-
-    auto smp = run(2);
-    EXPECT_TRUE(hasCounter(smp->sched().stats(), "dispatches"));
-    EXPECT_TRUE(hasCounter(smp->vmm().stats(), "switches_cpu0") ||
-                hasCounter(smp->vmm().stats(), "switches_cpu1"));
+    // One dispatch path for every vCPU count: a single-core run
+    // counts its dispatches like an SMP run does.
+    auto cfg = SystemConfig::Builder{}
+                   .seed(smpSeed)
+                   .guestFrames(1024)
+                   .cloaking(true)
+                   .preemptOpsPerTick(300)
+                   .build();
+    System sys(cfg);
+    workloads::registerAll(sys);
+    sys.launch("wl.tenant", {"0", "2"});
+    sys.launch("wl.tenant", {"1", "2"});
+    sys.run();
+    EXPECT_GT(sys.sched().stats().value("dispatches"), 0u);
 }
 
 TEST(Smp, BuilderValidatesSmpKnobs)
 {
+    EXPECT_THROW(SystemConfig::Builder{}.vcpus(0).build(),
+                 std::invalid_argument);
     EXPECT_THROW(SystemConfig::Builder{}.vcpus(65).build(),
                  std::invalid_argument);
-    EXPECT_THROW(SystemConfig::Builder{}.metadataShards(257).build(),
-                 std::invalid_argument);
-    EXPECT_THROW(SystemConfig::Builder{}
-                     .cloaking(false)
-                     .metadataShards(4)
-                     .build(),
-                 std::invalid_argument);
     // The legal edges build.
-    EXPECT_NO_THROW(SystemConfig::Builder{}
-                        .vcpus(64)
-                        .metadataShards(256)
-                        .build());
-    EXPECT_NO_THROW(
-        SystemConfig::Builder{}.cloaking(false).metadataShards(1).build());
+    EXPECT_NO_THROW(SystemConfig::Builder{}.vcpus(1).build());
+    EXPECT_NO_THROW(SystemConfig::Builder{}.vcpus(64).build());
 }
 
 } // namespace

@@ -21,7 +21,8 @@
  *   - the CloakIntrospect hypercall: a cloaked guest can query which
  *     hardening posture it is running under;
  *   - constant-cost seals: under constantCostCloak every page-seal span,
- *     fault-driven or batched, lasts exactly the dirty worst case.
+ *     fault-driven or batched, lasts exactly the dirty worst case, and
+ *     the Builder refuses it together with chunked integrity.
  */
 
 #include "attack/campaign.hh"
@@ -37,6 +38,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 
 namespace osh
 {
@@ -54,7 +56,7 @@ constexpr Cycles kFuzz = 1'000'000;
 constexpr Cycles kOffset = 1'000'000;
 
 SystemConfig
-hardenedConfig(std::uint64_t seed, std::size_t vcpus = 0,
+hardenedConfig(std::uint64_t seed, std::size_t vcpus = 1,
                std::size_t async_depth = 0)
 {
     return SystemConfig::Builder{}
@@ -117,10 +119,10 @@ TEST(VirtualClock, SameSeedSameSequenceAcrossRunsAndTopology)
             seq.push_back(sys.vmm().readTsc(5));
         return seq;
     };
-    auto base = sample(0, 0);
-    EXPECT_EQ(base, sample(0, 0)) << "not reproducible run to run";
+    auto base = sample(1, 0);
+    EXPECT_EQ(base, sample(1, 0)) << "not reproducible run to run";
     EXPECT_EQ(base, sample(4, 0)) << "vCPU count changed the sequence";
-    EXPECT_EQ(base, sample(0, 4)) << "async depth changed the sequence";
+    EXPECT_EQ(base, sample(1, 4)) << "async depth changed the sequence";
 }
 
 TEST(VirtualClock, DistinctAsidsGetDistinctViews)
@@ -170,7 +172,7 @@ TEST(SleepClamp, RejectsUnvalidatedGuestCycleCounts)
 
 TEST(Introspect, ReportsHardeningPosture)
 {
-    System sys(hardenedConfig(5, 0, 4));
+    System sys(hardenedConfig(5, 1, 4));
     sys.addProgram("introspect", os::Program{[](Env& env) {
         auto query = [&env](std::uint64_t sel) {
             std::uint64_t args[1] = {sel};
@@ -241,7 +243,7 @@ TEST(TimingCampaign, UnhardenedOraclesLeakTheSecret)
          {AttackPoint::TimingVictimProbe, AttackPoint::TimingCleanProbe,
           AttackPoint::TimingAsyncDrain,
           AttackPoint::TimingMetadataProbe}) {
-        auto cell = runCell(1, p, "wl.victim.timing", 0, 0,
+        auto cell = runCell(1, p, "wl.victim.timing", 1, 0,
                             /*timing_hardening=*/false);
         EXPECT_EQ(cell.verdict, Verdict::Leak)
             << attackPointName(p) << ": " << cell.detail;
@@ -257,7 +259,7 @@ TEST(TimingCampaign, HardenedOraclesRecoverNothing)
          {AttackPoint::TimingVictimProbe, AttackPoint::TimingCleanProbe,
           AttackPoint::TimingAsyncDrain,
           AttackPoint::TimingMetadataProbe}) {
-        auto cell = runCell(1, p, "wl.victim.timing", 0, 0,
+        auto cell = runCell(1, p, "wl.victim.timing", 1, 0,
                             /*timing_hardening=*/true);
         EXPECT_EQ(cell.verdict, Verdict::Harmless)
             << attackPointName(p) << ": " << cell.detail;
@@ -271,7 +273,7 @@ TEST(TimingCampaign, VerdictsAreTopologyInvariant)
     // CI replays the expectation table at --vcpus=4 and
     // --async-depth=4; the unhardened LEAK must be just as stable.
     for (auto [vcpus, depth] :
-         {std::pair<std::size_t, std::size_t>{4, 0}, {0, 4}}) {
+         {std::pair<std::size_t, std::size_t>{4, 0}, {1, 4}}) {
         auto cell =
             runCell(2, AttackPoint::TimingVictimProbe,
                     "wl.victim.timing", vcpus, depth, false);
@@ -292,7 +294,7 @@ TEST(TimingCampaign, ProbesStayQuietOnOtherVictims)
     // a different victim it must not fire at all (and must classify
     // Harmless), keeping the default full matrix clean.
     auto cell = runCell(1, AttackPoint::TimingVictimProbe,
-                        "wl.victim.compute", 0, 0, false);
+                        "wl.victim.compute", 1, 0, false);
     EXPECT_EQ(cell.verdict, Verdict::Harmless) << cell.detail;
     EXPECT_EQ(cell.firings, 0u);
 }
@@ -300,6 +302,21 @@ TEST(TimingCampaign, ProbesStayQuietOnOtherVictims)
 // ---------------------------------------------------------------------------
 // Constant-cost cloak responses
 // ---------------------------------------------------------------------------
+
+TEST(ConstantCost, BuilderRefusesChunkedIntegrity)
+{
+    // Chunked seals are not equalized: a clean page re-seals as a copy
+    // and a dirty one costs in proportion to its dirty chunks, so the
+    // combination would leak how much of a page the victim wrote.
+    EXPECT_THROW(SystemConfig::Builder{}
+                     .constantCostCloak(true)
+                     .chunkedIntegrity(true)
+                     .build(),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(
+        SystemConfig::Builder{}.constantCostCloak(true).build());
+    EXPECT_NO_THROW(SystemConfig::Builder{}.chunkedIntegrity(true).build());
+}
 
 #if OSH_TRACE_ENABLED
 TEST(ConstantCost, EverySealSpanChargesTheWorstCase)

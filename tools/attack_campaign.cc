@@ -13,6 +13,8 @@
  *                   [--timing-hardening=0|1] [--out=FILE]
  *                   [--expect=FILE] [--quiet]
  *
+ * --vcpus defaults to 1 and must be 1..64.
+ *
  * Exit codes:
  *   0  campaign clean (no LEAK, no CRASH, expectation matched if given)
  *   1  at least one LEAK or CRASH cell
