@@ -4,26 +4,31 @@ namespace osh::vmm
 {
 
 Tlb::Tlb(std::size_t capacity, const char* name)
-    : capacity_(capacity), stats_(name)
+    : capacity_(capacity), stats_(name), hits_(&stats_.counter("hits")),
+      misses_(&stats_.counter("misses"))
 {
     osh_assert(capacity > 0, "TLB needs capacity");
 }
 
 std::optional<ShadowEntry>
-Tlb::lookup(const Context& ctx, GuestVA va_page)
+Tlb::lookupSlow(const Context& ctx, GuestVA va_page)
 {
     auto it = entries_.find(Key{ctx, va_page});
     if (it == entries_.end()) {
-        stats_.counter("misses").inc();
+        misses_->inc();
         return std::nullopt;
     }
-    stats_.counter("hits").inc();
+    hits_->inc();
+    front_[frontIndex(va_page)] =
+        FrontSlot{ctx, va_page, epoch_, it->second};
     return it->second;
 }
 
 void
 Tlb::insert(const Context& ctx, GuestVA va_page, const ShadowEntry& entry)
 {
+    // May overwrite the key or evict another: retire the front cache.
+    ++epoch_;
     Key key{ctx, va_page};
     if (entries_.find(key) == entries_.end()) {
         while (entries_.size() >= capacity_)
@@ -82,6 +87,7 @@ Tlb::compactFifo()
 void
 Tlb::invalidateVa(Asid asid, GuestVA va_page)
 {
+    ++epoch_;
     va_page = pageBase(va_page);
     for (auto it = entries_.begin(); it != entries_.end();) {
         if (it->first.ctx.asid == asid && it->first.vaPage == va_page)
@@ -94,6 +100,7 @@ Tlb::invalidateVa(Asid asid, GuestVA va_page)
 void
 Tlb::invalidateAsid(Asid asid)
 {
+    ++epoch_;
     for (auto it = entries_.begin(); it != entries_.end();) {
         if (it->first.ctx.asid == asid)
             it = entries_.erase(it);
@@ -105,6 +112,7 @@ Tlb::invalidateAsid(Asid asid)
 void
 Tlb::invalidateMpa(Mpa frame_base)
 {
+    ++epoch_;
     frame_base = pageBase(frame_base);
     for (auto it = entries_.begin(); it != entries_.end();) {
         if (pageBase(it->second.mpa) == frame_base)
@@ -117,6 +125,7 @@ Tlb::invalidateMpa(Mpa frame_base)
 void
 Tlb::flushAll()
 {
+    ++epoch_;
     entries_.clear();
     fifo_.clear();
     queued_.clear();

@@ -286,7 +286,8 @@ TEST(Tracer, DisabledRecordsNothing)
 
 TEST(Tracer, NullTracerPointerIsSafe)
 {
-    Tracer* none = nullptr;
+    // The macros expand to nothing with OSH_TRACE=OFF.
+    [[maybe_unused]] Tracer* none = nullptr;
     {
         OSH_TRACE_SCOPE(none, Category::User, "span");
     }

@@ -1,9 +1,11 @@
 /**
  * @file
  * Unit tests for the VMM: pmap allocation, multi-shadow page tables,
- * reverse-index invalidation, TLB behaviour and register scrubbing.
+ * reverse-index invalidation, TLB behaviour (including the front
+ * cache's coherence and view isolation) and register scrubbing.
  */
 
+#include "base/rng.hh"
 #include "sim/machine.hh"
 #include "vmm/pmap.hh"
 #include "vmm/registers.hh"
@@ -12,6 +14,11 @@
 #include "vmm/vmm.hh"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <tuple>
+#include <vector>
 
 namespace osh::vmm
 {
@@ -215,6 +222,275 @@ TEST(Tlb, InvalidationScopes)
 
     tlb.flushAll();
     EXPECT_EQ(tlb.size(), 0u);
+}
+
+// --- Front cache -----------------------------------------------------
+// Every case warms the front slot, applies one epoch-bump path and
+// checks the next lookup sees the table's new state.
+
+/** Two hits: the first fills the front slot, the second is served by it. */
+void
+warmFront(Tlb& tlb, const Context& ctx, GuestVA va)
+{
+    ASSERT_TRUE(tlb.lookup(ctx, va).has_value());
+    ASSERT_TRUE(tlb.lookup(ctx, va).has_value());
+}
+
+TEST(TlbFront, OverwriteInsertReturnsNewEntry)
+{
+    Tlb tlb(8);
+    Context ctx{1, 0, false};
+    tlb.insert(ctx, 0x1000, {0x5000, true, false});
+    warmFront(tlb, ctx, 0x1000);
+    tlb.insert(ctx, 0x1000, {0x9000, true, true});
+    auto hit = tlb.lookup(ctx, 0x1000);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->mpa, 0x9000u);
+    EXPECT_TRUE(hit->canWrite);
+}
+
+TEST(TlbFront, FifoEvictionOfCachedKeyMisses)
+{
+    Tlb tlb(2);
+    Context ctx{1, 0, false};
+    tlb.insert(ctx, 0x1000, {0x5000, true, true});
+    warmFront(tlb, ctx, 0x1000);
+    tlb.insert(ctx, 0x2000, {0x6000, true, true});
+    tlb.insert(ctx, 0x3000, {0x7000, true, true}); // Evicts 0x1000.
+    EXPECT_FALSE(tlb.lookup(ctx, 0x1000).has_value());
+}
+
+TEST(TlbFront, InvalidateVaMisses)
+{
+    Tlb tlb(8);
+    Context ctx{1, 3, false};
+    tlb.insert(ctx, 0x1000, {0x5000, true, true});
+    warmFront(tlb, ctx, 0x1000);
+    tlb.invalidateVa(1, 0x1000);
+    EXPECT_FALSE(tlb.lookup(ctx, 0x1000).has_value());
+}
+
+TEST(TlbFront, InvalidateAsidMisses)
+{
+    Tlb tlb(8);
+    Context ctx{1, 3, true};
+    tlb.insert(ctx, 0x1000, {0x5000, true, true});
+    warmFront(tlb, ctx, 0x1000);
+    tlb.invalidateAsid(1);
+    EXPECT_FALSE(tlb.lookup(ctx, 0x1000).has_value());
+}
+
+TEST(TlbFront, InvalidateMpaMisses)
+{
+    Tlb tlb(8);
+    Context a{1, 0, false};
+    Context b{2, 4, false};
+    tlb.insert(a, 0x1000, {0x5000, true, true});
+    tlb.insert(b, 0x7000, {0x5000, true, false}); // Same frame.
+    tlb.insert(a, 0x2000, {0x6000, true, true});
+    warmFront(tlb, a, 0x1000);
+    warmFront(tlb, b, 0x7000);
+    warmFront(tlb, a, 0x2000);
+    tlb.invalidateMpa(0x5000);
+    EXPECT_FALSE(tlb.lookup(a, 0x1000).has_value());
+    EXPECT_FALSE(tlb.lookup(b, 0x7000).has_value());
+    EXPECT_TRUE(tlb.lookup(a, 0x2000).has_value()); // Other frame stays.
+}
+
+TEST(TlbFront, FlushAllMisses)
+{
+    Tlb tlb(8);
+    Context ctx{1, 0, false};
+    tlb.insert(ctx, 0x1000, {0x5000, true, true});
+    warmFront(tlb, ctx, 0x1000);
+    tlb.flushAll();
+    EXPECT_FALSE(tlb.lookup(ctx, 0x1000).has_value());
+}
+
+TEST(TlbFront, ViewsNeverShareASlot)
+{
+    // Multi-shadowing through the cache: one asid and VA, three
+    // contexts (cloaked view, system view, kernel mode of the system
+    // view), three frames. All map to the same front slot; alternating
+    // lookups must each get their own context's frame and permissions.
+    Tlb tlb(8);
+    const GuestVA va = 0x40000;
+    const Context cloaked{7, 5, false};
+    const Context system{7, systemDomain, false};
+    const Context kernel{7, systemDomain, true};
+    const ShadowEntry frame_a{0xa000, true, true};
+    const ShadowEntry frame_b{0xb000, true, false};
+    const ShadowEntry frame_k{0xc000, false, false};
+    tlb.insert(cloaked, va, frame_a);
+    tlb.insert(system, va, frame_b);
+    tlb.insert(kernel, va, frame_k);
+
+    const std::pair<Context, ShadowEntry> order[] = {
+        {cloaked, frame_a}, {system, frame_b}, {cloaked, frame_a},
+        {kernel, frame_k},  {system, frame_b}, {kernel, frame_k}};
+    for (int round = 0; round < 50; ++round) {
+        for (const auto& [ctx, want] : order) {
+            auto hit = tlb.lookup(ctx, va);
+            ASSERT_TRUE(hit.has_value());
+            EXPECT_EQ(hit->mpa, want.mpa);
+            EXPECT_EQ(hit->canRead, want.canRead);
+            EXPECT_EQ(hit->canWrite, want.canWrite);
+            // Repeat: the second lookup is served by the front slot.
+            hit = tlb.lookup(ctx, va);
+            ASSERT_TRUE(hit.has_value());
+            EXPECT_EQ(hit->mpa, want.mpa);
+            EXPECT_EQ(hit->canWrite, want.canWrite);
+        }
+    }
+    EXPECT_EQ(tlb.stats().value("hits"), 50u * 12u);
+    EXPECT_EQ(tlb.stats().value("misses"), 0u);
+}
+
+/**
+ * Reference TLB: a map plus the insertion order of live keys, evicting
+ * the oldest live key when a new key arrives at capacity.
+ */
+class RefTlb
+{
+  public:
+    using Key = std::tuple<Asid, DomainId, bool, GuestVA>;
+
+    explicit RefTlb(std::size_t capacity) : capacity_(capacity) {}
+
+    std::optional<ShadowEntry>
+    lookup(const Context& ctx, GuestVA va)
+    {
+        auto it = entries_.find(key(ctx, va));
+        if (it == entries_.end()) {
+            ++misses;
+            return std::nullopt;
+        }
+        ++hits;
+        return it->second;
+    }
+
+    void
+    insert(const Context& ctx, GuestVA va, const ShadowEntry& e)
+    {
+        Key k = key(ctx, va);
+        if (entries_.find(k) == entries_.end()) {
+            if (entries_.size() >= capacity_) {
+                entries_.erase(order_.front());
+                order_.erase(order_.begin());
+            }
+            order_.push_back(k);
+        }
+        entries_[k] = e;
+    }
+
+    template <typename Pred>
+    void
+    eraseIf(Pred pred)
+    {
+        for (auto it = entries_.begin(); it != entries_.end();) {
+            if (pred(it->first, it->second)) {
+                order_.erase(std::find(order_.begin(), order_.end(),
+                                       it->first));
+                it = entries_.erase(it);
+            } else {
+                ++it;
+            }
+        }
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+
+  private:
+    static Key
+    key(const Context& c, GuestVA va)
+    {
+        return {c.asid, c.view, c.kernelMode, va};
+    }
+
+    std::size_t capacity_;
+    std::map<Key, ShadowEntry> entries_;
+    std::vector<Key> order_;
+};
+
+TEST(TlbFront, RandomizedDifferentialAgainstReference)
+{
+    constexpr std::size_t capacity = 24;
+    constexpr std::uint64_t pages = 192; // 3 VAs per front slot.
+    Tlb tlb(capacity);
+    RefTlb ref(capacity);
+    Rng rng(0x7F1B);
+
+    // Mostly a hot set (2 contexts x 8 pages, within capacity) so most
+    // lookups hit, with cold contexts and pages mixed in.
+    auto randCtx = [&] {
+        if (rng.nextBounded(4) != 0)
+            return Context{1, static_cast<DomainId>(rng.nextBounded(2)),
+                           false};
+        return Context{static_cast<Asid>(1 + rng.nextBounded(2)),
+                       static_cast<DomainId>(rng.nextBounded(3)),
+                       rng.nextBounded(2) == 1};
+    };
+    auto randVa = [&] {
+        std::uint64_t bound = rng.nextBounded(4) == 0 ? pages : 8;
+        return rng.nextBounded(bound) * pageSize;
+    };
+    auto randFrame = [&] {
+        return 0x100000 + rng.nextBounded(32) * pageSize;
+    };
+
+    // 80% lookups, 12% inserts, 8% invalidations: every insert retires
+    // the front cache, so lookups must dominate for slots to stay live
+    // long enough that a missed epoch bump would be observed.
+    for (int op = 0; op < 20000; ++op) {
+        std::uint64_t r = rng.nextBounded(1000);
+        if (r < 800) {
+            Context ctx = randCtx();
+            GuestVA va = randVa();
+            auto got = tlb.lookup(ctx, va);
+            auto want = ref.lookup(ctx, va);
+            ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+            if (got) {
+                ASSERT_EQ(got->mpa, want->mpa) << "op " << op;
+                ASSERT_EQ(got->canRead, want->canRead) << "op " << op;
+                ASSERT_EQ(got->canWrite, want->canWrite) << "op " << op;
+            }
+        } else if (r < 920) {
+            Context ctx = randCtx();
+            GuestVA va = randVa();
+            ShadowEntry e{randFrame(), true, rng.nextBounded(2) == 1};
+            tlb.insert(ctx, va, e);
+            ref.insert(ctx, va, e);
+        } else if (r < 950) {
+            Asid asid = static_cast<Asid>(1 + rng.nextBounded(2));
+            GuestVA va = randVa();
+            tlb.invalidateVa(asid, va);
+            ref.eraseIf([&](const RefTlb::Key& k, const ShadowEntry&) {
+                return std::get<0>(k) == asid && std::get<3>(k) == va;
+            });
+        } else if (r < 980) {
+            Mpa frame = randFrame();
+            tlb.invalidateMpa(frame);
+            ref.eraseIf([&](const RefTlb::Key&, const ShadowEntry& e) {
+                return e.mpa == frame;
+            });
+        } else if (r < 995) {
+            Asid asid = static_cast<Asid>(1 + rng.nextBounded(2));
+            tlb.invalidateAsid(asid);
+            ref.eraseIf([&](const RefTlb::Key& k, const ShadowEntry&) {
+                return std::get<0>(k) == asid;
+            });
+        } else {
+            tlb.flushAll();
+            ref.eraseIf([](const RefTlb::Key&, const ShadowEntry&) {
+                return true;
+            });
+        }
+    }
+    EXPECT_EQ(tlb.stats().value("hits"), ref.hits);
+    EXPECT_EQ(tlb.stats().value("misses"), ref.misses);
+    EXPECT_GT(ref.hits, 1000u);
+    EXPECT_GT(ref.misses, 1000u);
 }
 
 TEST(Registers, ScrubKeepsSyscallArgs)
