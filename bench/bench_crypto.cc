@@ -2,16 +2,28 @@
  * @file
  * Crypto pipeline microbenchmarks — host throughput and batch cost.
  *
- * Two independent sections:
+ * The first output line, `# crypto kernels: aes=<k> sha=<k>`, names the
+ * kernels this process runs by default (crypto/kernel.hh): hardware
+ * when the CPU has AES-NI / SHA-NI, portable otherwise. Everything
+ * below except the per-kernel table runs on those.
+ *
+ * Three independent sections:
  *
  *  1. Host wall-time: the real cost of page crypto on this machine,
- *     measured for the optimized pipeline (T-table AES, multi-block
- *     CTR, HMAC key midstates) and for the pre-optimization reference
- *     path (byte-wise FIPS-197 AES via setReferenceMode, per-call HMAC
- *     pad hashing). These numbers vary by host and are recorded under
- *     `host_` keys, which bench/compare.py reports but never gates.
+ *     measured for the default pipeline (multi-block CTR, HMAC key
+ *     midstates, default kernels) and for the reference pipeline
+ *     (both primitives on Kernel::Reference, per-call HMAC pad
+ *     hashing).
  *
- *  2. Simulated cycles: the engine-level batched page-crypto API
+ *  2. Host throughput per kernel: AES-CTR over a 4 KiB page and
+ *     SHA-256 of a 4 KiB page on each kernel the CPU supports
+ *     (`host_kernel.<kernel>.{ctr_page,sha256_page}.mb_s`); the
+ *     hardware rows are skipped on a CPU without the extension.
+ *
+ *     Host numbers vary by machine and are recorded under `host_`
+ *     keys, which bench/compare.py reports but never gates.
+ *
+ *  3. Simulated cycles: the engine-level batched page-crypto API
  *     (encryptPages / decryptPages / sealPlaintextFrames) measured
  *     against the equivalent per-page sequence. The batch API is
  *     documented to charge byte-identical simulated cost; this bench
@@ -28,6 +40,7 @@
 #include "cloak/engine.hh"
 #include "crypto/ctr.hh"
 #include "crypto/hmac.hh"
+#include "crypto/kernel.hh"
 #include "crypto/sha256.hh"
 #include "sim/machine.hh"
 #include "vmm/vcpu.hh"
@@ -45,8 +58,23 @@ namespace
 using namespace osh;
 
 // ---------------------------------------------------------------------------
-// Section 1: host wall-time, reference vs optimized crypto pipeline
+// Section 1: host wall-time, reference vs default crypto pipeline
 // ---------------------------------------------------------------------------
+
+/** Run @p f with both primitives on @p aes / @p sha, then restore. */
+template <typename F>
+auto
+onKernels(crypto::Kernel aes, crypto::Kernel sha, F&& f)
+{
+    crypto::Kernel prev_aes = crypto::Aes128::kernel();
+    crypto::Kernel prev_sha = crypto::Sha256::compression();
+    crypto::Aes128::setKernel(aes);
+    crypto::Sha256::setCompression(sha);
+    auto result = f();
+    crypto::Aes128::setKernel(prev_aes);
+    crypto::Sha256::setCompression(prev_sha);
+    return result;
+}
 
 /** One measured host-side operation over `bytes` bytes per call. */
 struct HostResult
@@ -165,31 +193,90 @@ runHostSection(bench::BenchReport& report, bool quick)
 
     crypto::AesKey key{};
     key[0] = 1;
-    crypto::Aes128 opt_aes(key);
-    crypto::Aes128 ref_aes(key);
-    ref_aes.setReferenceMode(true);
+    crypto::Aes128 aes(key);
 
     // A metadata bundle the size sealFileResource produces for a
     // 16-page file resource (16 + 32 + 16 * 65 bytes).
     std::vector<std::uint8_t> bundle(16 + 32 + 16 * 65, 0x3c);
 
-    bench::header("Host wall-time: reference vs optimized pipeline");
+    bench::header("Host wall-time: reference vs default pipeline");
     std::printf("  %-24s %-25s -> %-25s\n", "operation",
-                "reference (pre-opt)", "optimized");
+                "reference", "default kernels");
 
-    reportHostPair(report, "page_encrypt_mac",
-                   measurePageEncryptMac(ref_aes, page_iters),
-                   measurePageEncryptMac(opt_aes, page_iters));
-    reportHostPair(report, "page_decrypt_verify",
-                   measurePageDecryptVerify(ref_aes, page_iters),
-                   measurePageDecryptVerify(opt_aes, page_iters));
-    reportHostPair(report, "hmac_seal_1k",
-                   measureHmacSeal(bundle, false, mac_iters),
+    struct Pipeline
+    {
+        HostResult encrypt, decrypt, mac;
+    };
+    const Pipeline ref = onKernels(
+        crypto::Kernel::Reference, crypto::Kernel::Reference, [&] {
+            return Pipeline{measurePageEncryptMac(aes, page_iters),
+                            measurePageDecryptVerify(aes, page_iters),
+                            measureHmacSeal(bundle, false, mac_iters)};
+        });
+    reportHostPair(report, "page_encrypt_mac", ref.encrypt,
+                   measurePageEncryptMac(aes, page_iters));
+    reportHostPair(report, "page_decrypt_verify", ref.decrypt,
+                   measurePageDecryptVerify(aes, page_iters));
+    reportHostPair(report, "hmac_seal_1k", ref.mac,
                    measureHmacSeal(bundle, true, mac_iters));
 }
 
 // ---------------------------------------------------------------------------
-// Section 2: simulated cycles, batched vs per-page engine API
+// Section 2: host throughput of each kernel
+// ---------------------------------------------------------------------------
+
+void
+runKernelSection(bench::BenchReport& report, bool quick)
+{
+    const int page_iters = quick ? 64 : 2048;
+
+    crypto::AesKey key{};
+    key[0] = 2;
+    crypto::Aes128 aes(key);
+    std::array<std::uint8_t, pageSize> page{};
+
+    bench::header("Host throughput per kernel (4 KiB page)");
+    std::printf("  %-10s %14s %14s\n", "kernel", "aes-ctr MB/s",
+                "sha-256 MB/s");
+    for (crypto::Kernel k :
+         {crypto::Kernel::Reference, crypto::Kernel::Portable,
+          crypto::Kernel::Hardware}) {
+        bool hw = k == crypto::Kernel::Hardware;
+        bool has_aes = !hw || crypto::aesHardwareAvailable();
+        bool has_sha = !hw || crypto::shaHardwareAvailable();
+        std::string base = std::string("kernel.") + crypto::kernelName(k);
+        std::string aes_col = "n/a (no AES-NI)";
+        std::string sha_col = "n/a (no SHA-NI)";
+        if (has_aes) {
+            // Only the AES kernel moves; SHA stays on its default.
+            HostResult r = onKernels(
+                k, crypto::Sha256::compression(), [&] {
+                    return measureHost(pageSize, page_iters, [&](int i) {
+                        crypto::Iv iv{};
+                        iv[0] = static_cast<std::uint8_t>(i);
+                        crypto::aesCtrXcryptInPlace(aes, iv, page);
+                    });
+                });
+            report.setHost(base + ".ctr_page.mb_s", r.mbPerSec);
+            aes_col = std::to_string(r.mbPerSec);
+        }
+        if (has_sha) {
+            HostResult r = onKernels(crypto::Aes128::kernel(), k, [&] {
+                return measureHost(pageSize, page_iters, [&](int) {
+                    crypto::Digest d = crypto::Sha256::hash(page);
+                    page[0] = d[0]; // keep the digest live
+                });
+            });
+            report.setHost(base + ".sha256_page.mb_s", r.mbPerSec);
+            sha_col = std::to_string(r.mbPerSec);
+        }
+        std::printf("  %-10s %14s %14s\n", crypto::kernelName(k),
+                    aes_col.c_str(), sha_col.c_str());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Section 3: simulated cycles, batched vs per-page engine API
 // ---------------------------------------------------------------------------
 
 /** Minimal guest OS for driving the engine directly. */
@@ -416,8 +503,14 @@ main(int argc, char** argv)
         }
     }
 
+    std::printf("# crypto kernels: aes=%s sha=%s\n",
+                osh::crypto::kernelName(osh::crypto::Aes128::kernel()),
+                osh::crypto::kernelName(
+                    osh::crypto::Sha256::compression()));
+
     osh::bench::BenchReport report("crypto");
     runHostSection(report, quick);
+    runKernelSection(report, quick);
     runSimSection(report);
     report.write();
     return 0;

@@ -14,6 +14,10 @@
  *
  * Expected shape: marshalling hurts most at small buffers; emulation
  * tracks native closely once the mapping is warm.
+ *
+ * Writes BENCH_f4.json (`f4.<series>.<bufsize>.cycles`, the simulated
+ * cycles of one timed read pass, series native / marshal / emulated)
+ * for the perf-regression gate.
  */
 
 #include "bench_common.hh"
@@ -89,8 +93,9 @@ readerMain(Env& env)
     return 0;
 }
 
-double
-bandwidth(bool cloaked, bool protected_file, std::uint64_t buf_bytes)
+/** Simulated cycles of one timed sequential read pass over the file. */
+Cycles
+passCycles(bool cloaked, bool protected_file, std::uint64_t buf_bytes)
 {
     auto sys = bench::makeSystem(cloaked);
     sys->addProgram("reader", os::Program{readerMain, true, 64});
@@ -105,10 +110,15 @@ bandwidth(bool cloaked, bool protected_file, std::uint64_t buf_bytes)
                            (cloaked ? "cloaked" : "native") +
                            (protected_file ? "_prot_" : "_plain_") +
                            std::to_string(buf_bytes));
-    std::uint64_t cycles = std::strtoull(
+    return std::strtoull(
         workloads::readGuestFile(*sys, "/results/fileio").c_str(),
         nullptr, 10);
-    // Bytes per kilocycle.
+}
+
+/** Bytes per kilocycle. */
+double
+bandwidth(Cycles cycles)
+{
     return static_cast<double>(fileBytes) /
            (static_cast<double>(cycles) / 1000.0);
 }
@@ -118,19 +128,29 @@ bandwidth(bool cloaked, bool protected_file, std::uint64_t buf_bytes)
 int
 main()
 {
+    using namespace osh;
     bench::header("Figure F4: read() bandwidth vs buffer size "
                   "(bytes/kcycle)");
+
+    bench::BenchReport report("f4");
     std::printf("%-10s %12s %18s %18s\n", "buffer", "native",
                 "cloaked-marshal", "cloaked-emulated");
     for (std::uint64_t buf : {256u, 1024u, 4096u, 16384u, 65536u}) {
-        double native = bandwidth(false, false, buf);
-        double marshal = bandwidth(true, false, buf);
-        double emulated = bandwidth(true, true, buf);
+        Cycles native = passCycles(false, false, buf);
+        Cycles marshal = passCycles(true, false, buf);
+        Cycles emulated = passCycles(true, true, buf);
+        std::string size = std::to_string(buf);
+        report.set("f4.native." + size + ".cycles", native);
+        report.set("f4.marshal." + size + ".cycles", marshal);
+        report.set("f4.emulated." + size + ".cycles", emulated);
         std::printf("%7lluB %12.1f %18.1f %18.1f\n",
-                    static_cast<unsigned long long>(buf), native,
-                    marshal, emulated);
+                    static_cast<unsigned long long>(buf),
+                    bandwidth(native), bandwidth(marshal),
+                    bandwidth(emulated));
     }
     std::printf("\n(paper shape: marshalling is worst at small "
                 "buffers; emulation approaches native)\n");
+
+    report.write();
     return 0;
 }

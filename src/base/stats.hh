@@ -47,6 +47,22 @@ class StatGroup
      */
     Counter& counter(const std::string& name);
 
+    /**
+     * The counter @p name, cached in @p slot: the first call looks it
+     * up (creating it) and stores it there, later calls build no string
+     * and search no map. The counter joins the key set on first use,
+     * exactly as with counter(name), so interning a hot counter this
+     * way leaves every dump and snapshot unchanged. The slot's owner
+     * must not be copied (the copy would count into this group).
+     */
+    Counter&
+    counter(Counter*& slot, const char* name)
+    {
+        if (slot == nullptr)
+            slot = &counter(std::string(name));
+        return *slot;
+    }
+
     /** Value of a named counter (0 if it was never created). */
     std::uint64_t value(const std::string& name) const;
 

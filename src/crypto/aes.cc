@@ -1,9 +1,15 @@
 #include "crypto/aes.hh"
 
 #include "base/bytes.hh"
+#include "base/logging.hh"
 
+#include <atomic>
 #include <bit>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace osh::crypto
 {
@@ -143,7 +149,98 @@ makeTeTables()
 
 constexpr TeTables Te = makeTeTables();
 
+/** The process-wide kernel, resolved from CPUID on first use. */
+std::atomic<Kernel>&
+kernelSlot()
+{
+    static std::atomic<Kernel> slot{Aes128::defaultKernel()};
+    return slot;
+}
+
+#if defined(__x86_64__)
+
+/**
+ * AES-NI kernel. The FIPS-197 round-key bytes are exactly the operand
+ * layout aesenc expects, so no second schedule is kept. Eight blocks
+ * run through each round together: aesenc has several cycles of
+ * latency but issues every cycle, so independent blocks fill the gap.
+ * All eight are loaded before any is stored, so in may alias out.
+ */
+__attribute__((target("aes"))) void
+encryptBlocksAesNi(const std::uint8_t* round_keys, const std::uint8_t* in,
+                   std::uint8_t* out, std::size_t nblocks)
+{
+    constexpr int rounds = 10;
+    __m128i rk[rounds + 1];
+    for (int r = 0; r <= rounds; ++r)
+        rk[r] = _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(round_keys + r * 16));
+
+    std::size_t b = 0;
+    for (; b + 8 <= nblocks; b += 8) {
+        const auto* src = reinterpret_cast<const __m128i*>(
+            in + b * aesBlockSize);
+        auto* dst = reinterpret_cast<__m128i*>(out + b * aesBlockSize);
+        // Fully unrolled, so the eight lanes live in registers.
+        __m128i x[8];
+#pragma GCC unroll 8
+        for (int l = 0; l < 8; ++l)
+            x[l] = _mm_xor_si128(_mm_loadu_si128(src + l), rk[0]);
+#pragma GCC unroll 9
+        for (int r = 1; r < rounds; ++r) {
+#pragma GCC unroll 8
+            for (int l = 0; l < 8; ++l)
+                x[l] = _mm_aesenc_si128(x[l], rk[r]);
+        }
+#pragma GCC unroll 8
+        for (int l = 0; l < 8; ++l)
+            _mm_storeu_si128(dst + l,
+                             _mm_aesenclast_si128(x[l], rk[rounds]));
+    }
+    for (; b < nblocks; ++b) {
+        __m128i x = _mm_xor_si128(
+            _mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(in + b * aesBlockSize)),
+            rk[0]);
+        for (int r = 1; r < rounds; ++r)
+            x = _mm_aesenc_si128(x, rk[r]);
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + b * aesBlockSize),
+                         _mm_aesenclast_si128(x, rk[rounds]));
+    }
+}
+
+#else
+
+void
+encryptBlocksAesNi(const std::uint8_t*, const std::uint8_t*,
+                   std::uint8_t*, std::size_t)
+{
+    osh_panic("AES-NI kernel selected on a non-x86-64 host");
+}
+
+#endif
+
 } // namespace
+
+Kernel
+Aes128::defaultKernel()
+{
+    return aesHardwareAvailable() ? Kernel::Hardware : Kernel::Portable;
+}
+
+Kernel
+Aes128::kernel()
+{
+    return kernelSlot().load(std::memory_order_relaxed);
+}
+
+void
+Aes128::setKernel(Kernel kernel)
+{
+    osh_assert(kernel != Kernel::Hardware || aesHardwareAvailable(),
+               "AES hardware kernel selected without AES-NI");
+    kernelSlot().store(kernel, std::memory_order_relaxed);
+}
 
 Aes128::Aes128(const AesKey& key)
 {
@@ -172,28 +269,35 @@ Aes128::Aes128(const AesKey& key)
 void
 Aes128::encryptBlock(const std::uint8_t* in, std::uint8_t* out) const
 {
-    if (referenceMode_)
-        encryptBlockReference(in, out);
-    else
-        encryptBlockFast(in, out);
+    encryptBlocks(in, out, 1);
 }
 
 void
 Aes128::encryptBlocks(const std::uint8_t* in, std::uint8_t* out,
                       std::size_t nblocks) const
 {
-    if (referenceMode_) {
+    switch (kernel()) {
+      case Kernel::Hardware:
+        encryptBlocksAesNi(roundKeys_.data(), in, out, nblocks);
+        return;
+      case Kernel::Portable:
+        encryptBlocksPortable(in, out, nblocks);
+        return;
+      case Kernel::Reference:
         for (std::size_t b = 0; b < nblocks; ++b)
             encryptBlockReference(in + b * aesBlockSize,
                                   out + b * aesBlockSize);
         return;
     }
+}
+
+void
+Aes128::encryptBlocksPortable(const std::uint8_t* in, std::uint8_t* out,
+                              std::size_t nblocks) const
+{
     std::size_t b = 0;
-    if (bulkMode_) {
-        for (; b + 4 <= nblocks; b += 4)
-            encryptBlocks4Fast(in + b * aesBlockSize,
-                               out + b * aesBlockSize);
-    }
+    for (; b + 4 <= nblocks; b += 4)
+        encryptBlocks4Fast(in + b * aesBlockSize, out + b * aesBlockSize);
     for (; b < nblocks; ++b)
         encryptBlockFast(in + b * aesBlockSize, out + b * aesBlockSize);
 }

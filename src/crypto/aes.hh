@@ -4,24 +4,24 @@
  *
  * Overshadow's VMM encrypts cloaked pages with AES-128; this is the
  * simulator's real implementation (pages really are ciphertext in the
- * kernel's view). Two encrypt paths exist:
+ * kernel's view). Encryption runs on one of three kernels (see
+ * crypto/kernel.hh), selected process-wide with setKernel():
  *
- *  - the default T-table path: four precomputed 256x32-bit lookup
- *    tables fold SubBytes + ShiftRows + MixColumns into four loads and
- *    XORs per column per round, which is what makes real host time on
- *    page crypto tolerable at scale;
- *  - a byte-wise reference path (S-box + xtime per FIPS-197 pseudocode)
- *    kept selectable per instance so known-answer and differential
- *    tests can pin the optimized kernel against the straightforward
- *    transcription of the spec.
+ *  - Hardware (the default when the CPU has AES-NI): aesenc /
+ *    aesenclast over the round-key bytes, eight blocks interleaved so
+ *    the instruction's latency overlaps across independent blocks;
+ *  - Portable: four precomputed 256x32-bit T-tables fold SubBytes +
+ *    ShiftRows + MixColumns into four loads and XORs per column per
+ *    round, and encryptBlocks() runs four blocks interleaved through
+ *    each round (single-block tail), so the host pipelines the table
+ *    loads instead of waiting out one block's round chain;
+ *  - Reference: the byte-wise S-box + xtime transcription of the
+ *    FIPS-197 pseudocode, kept so known-answer and differential tests
+ *    pin both fast kernels against the spec.
  *
- * On top of the T-tables, encryptBlocks() has a bulk path that runs
- * four blocks interleaved through each round: the per-block dependency
- * chain no longer serializes the table loads, so the host pipelines
- * them. CTR keystream generation (a page is 256 independent blocks) is
- * exactly this shape. The path is portable C++ — no intrinsics — and
- * selectable per instance (setBulkMode) the same way the reference
- * kernel is, so differential tests pin all three paths to each other.
+ * CTR keystream generation (a page is 256 independent blocks) is
+ * exactly the bulk shape encryptBlocks() is built for. Decryption has
+ * only the byte-wise path: CTR mode never decrypts a block.
  *
  * Simulated crypto *cost* is still charged by the cycle model; host
  * speed only affects how long the simulation itself takes to run.
@@ -29,6 +29,8 @@
 
 #ifndef OSH_CRYPTO_AES_HH
 #define OSH_CRYPTO_AES_HH
+
+#include "crypto/kernel.hh"
 
 #include <array>
 #include <cstdint>
@@ -69,27 +71,23 @@ class Aes128
 
     /**
      * The byte-wise FIPS-197 reference encryption, always available
-     * regardless of referenceMode(). Differential tests compare the
-     * T-table path against this.
+     * whatever kernel() is. Differential tests compare the fast kernels
+     * against this.
      */
     void encryptBlockReference(const std::uint8_t* in,
                                std::uint8_t* out) const;
 
     /**
-     * When set, encryptBlock()/encryptBlocks() use the byte-wise
-     * reference path instead of T-tables. Lets higher layers (CTR,
-     * benches) run end-to-end on the un-optimized kernel.
+     * Select the encrypt kernel of every instance, process-wide
+     * (tests, bench_crypto). Selecting Kernel::Hardware when
+     * aesHardwareAvailable() is false is a programming error. Atomic:
+     * host threads may encrypt concurrently.
      */
-    void setReferenceMode(bool on) { referenceMode_ = on; }
-    bool referenceMode() const { return referenceMode_; }
+    static void setKernel(Kernel kernel);
+    static Kernel kernel();
 
-    /**
-     * When set (the default), encryptBlocks() runs groups of four
-     * blocks interleaved through the T-table rounds. Off falls back to
-     * one block at a time; referenceMode() overrides both.
-     */
-    void setBulkMode(bool on) { bulkMode_ = on; }
-    bool bulkMode() const { return bulkMode_; }
+    /** Hardware when the CPU has AES-NI, otherwise Portable. */
+    static Kernel defaultKernel();
 
   private:
     static constexpr int numRounds = 10;
@@ -100,14 +98,15 @@ class Aes128
     void encryptBlocks4Fast(const std::uint8_t* in,
                             std::uint8_t* out) const;
 
+    /** Portable kernel: four-way bulk, single-block tail. */
+    void encryptBlocksPortable(const std::uint8_t* in, std::uint8_t* out,
+                               std::size_t nblocks) const;
+
     /** Round keys: (numRounds + 1) x 16 bytes. */
     std::array<std::uint8_t, (numRounds + 1) * aesBlockSize> roundKeys_;
 
     /** Same round keys as big-endian column words for the T-table path. */
     std::array<std::uint32_t, (numRounds + 1) * 4> roundKeyWords_;
-
-    bool referenceMode_ = false;
-    bool bulkMode_ = true;
 };
 
 } // namespace osh::crypto

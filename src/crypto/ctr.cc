@@ -1,5 +1,6 @@
 #include "crypto/ctr.hh"
 
+#include "base/bytes.hh"
 #include "base/logging.hh"
 
 #include <cstring>
@@ -10,22 +11,11 @@ namespace osh::crypto
 namespace
 {
 
-// Increment the low 64 bits of the counter block (big-endian), as in
-// NIST SP 800-38A appendix B.1.
-void
-incrementCounter(AesBlock& ctr)
-{
-    for (int i = 15; i >= 8; --i) {
-        if (++ctr[static_cast<std::size_t>(i)] != 0)
-            break;
-    }
-}
-
-// Keystream batch size: 8 AES blocks (128 bytes) are encrypted per
-// cipher call so the block loop stays hot, then XORed into the payload
-// a uint64 at a time. memcpy-based loads/stores keep the word XOR
-// alignment-safe under UBSan.
-constexpr std::size_t ctrBatchBlocks = 8;
+// Keystream batch size: 16 AES blocks (256 bytes) are encrypted per
+// cipher call, so every kernel gets whole interleaved groups, then
+// XORed into the payload a uint64 at a time. memcpy-based loads/stores
+// keep the word XOR alignment-safe under UBSan.
+constexpr std::size_t ctrBatchBlocks = 16;
 constexpr std::size_t ctrBatchBytes = ctrBatchBlocks * aesBlockSize;
 
 inline void
@@ -52,7 +42,13 @@ aesCtrXcrypt(const Aes128& cipher, const Iv& iv,
 {
     osh_assert(in.size() == out.size(),
                "CTR input/output length mismatch");
-    AesBlock ctr = iv;
+    // Counter block = the IV's high 64 bits, then its low 64 bits
+    // (big-endian) plus the block index, modulo 2^64: the increment of
+    // NIST SP 800-38A appendix B.1 with the carry kept inside the low
+    // half.
+    std::uint64_t low = (static_cast<std::uint64_t>(loadBe32(&iv[8]))
+                         << 32) |
+                        loadBe32(&iv[12]);
     std::uint8_t counters[ctrBatchBytes];
     std::uint8_t keystream[ctrBatchBytes];
     std::size_t pos = 0;
@@ -62,9 +58,8 @@ aesCtrXcrypt(const Aes128& cipher, const Iv& iv,
             std::min(ctrBatchBlocks,
                      (remaining + aesBlockSize - 1) / aesBlockSize);
         for (std::size_t b = 0; b < nblocks; ++b) {
-            std::memcpy(counters + b * aesBlockSize, ctr.data(),
-                        aesBlockSize);
-            incrementCounter(ctr);
+            std::memcpy(counters + b * aesBlockSize, iv.data(), 8);
+            storeBe64(counters + b * aesBlockSize + 8, low++);
         }
         cipher.encryptBlocks(counters, keystream, nblocks);
         std::size_t n = std::min(nblocks * aesBlockSize, remaining);

@@ -1,8 +1,14 @@
 #include "crypto/sha256.hh"
 
 #include "base/bytes.hh"
+#include "base/logging.hh"
 
+#include <atomic>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace osh::crypto
 {
@@ -62,7 +68,116 @@ extendWord(std::uint32_t w16, std::uint32_t w15, std::uint32_t w7,
     return w16 + s0 + w7 + s1;
 }
 
+/** The process-wide kernel, resolved from CPUID on first use. */
+std::atomic<Kernel>&
+kernelSlot()
+{
+    static std::atomic<Kernel> slot{Sha256::defaultCompression()};
+    return slot;
+}
+
+#if defined(__x86_64__)
+
+/**
+ * SHA-NI kernel. The state lives in two registers as (A,B,E,F) and
+ * (C,D,G,H), the layout sha256rnds2 works on. Each group of four
+ * rounds adds four constants to four schedule words and runs two
+ * rnds2 (two rounds each); msg1 and msg2 extend the schedule four
+ * words at a time, sixteen words ahead in a ring of four registers.
+ */
+__attribute__((target("sha,ssse3,sse4.1"))) void
+compressShaNi(std::uint32_t* state, const std::uint8_t* data,
+              std::size_t nblocks)
+{
+    // pshufb mask: big-endian message bytes to host-order words.
+    const __m128i bswap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+    const auto* kv = reinterpret_cast<const __m128i*>(k);
+
+    // Lane comments list words from the high lane down.
+    __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+    __m128i cdgh =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+    tmp = _mm_shuffle_epi32(tmp, 0xb1);           // C D A B
+    cdgh = _mm_shuffle_epi32(cdgh, 0x1b);         // E F G H
+    __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8); // A B E F
+    cdgh = _mm_blend_epi16(cdgh, tmp, 0xf0);      // C D G H
+
+    for (std::size_t n = 0; n < nblocks; ++n, data += sha256BlockSize) {
+        const __m128i abef_in = abef;
+        const __m128i cdgh_in = cdgh;
+        __m128i w[4];
+        for (int i = 0; i < 4; ++i)
+            w[i] = _mm_shuffle_epi8(
+                _mm_loadu_si128(
+                    reinterpret_cast<const __m128i*>(data + 16 * i)),
+                bswap);
+
+#pragma GCC unroll 16
+        for (int g = 0; g < 16; ++g) {
+            __m128i msg =
+                _mm_add_epi32(w[g & 3], _mm_loadu_si128(kv + g));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+            if (g >= 3 && g < 15) {
+                // Finish the words W[t] of group g + 1: the msg1 part
+                // (W[t-16] + s0(W[t-15])) plus W[t-7], then msg2 adds
+                // s1(W[t-2]).
+                __m128i& next = w[(g + 1) & 3];
+                next = _mm_add_epi32(
+                    next, _mm_alignr_epi8(w[g & 3], w[(g - 1) & 3], 4));
+                next = _mm_sha256msg2_epu32(next, w[g & 3]);
+            }
+            abef = _mm_sha256rnds2_epu32(abef, cdgh,
+                                         _mm_shuffle_epi32(msg, 0x0e));
+            if (g >= 1 && g < 13) {
+                // Start group g + 3 from the words of groups g - 1, g.
+                w[(g - 1) & 3] =
+                    _mm_sha256msg1_epu32(w[(g - 1) & 3], w[g & 3]);
+            }
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    tmp = _mm_shuffle_epi32(abef, 0x1b);     // F E B A
+    cdgh = _mm_shuffle_epi32(cdgh, 0xb1);    // D C H G
+    abef = _mm_blend_epi16(tmp, cdgh, 0xf0); // D C B A
+    cdgh = _mm_alignr_epi8(cdgh, tmp, 8);    // H G F E
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state), abef);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), cdgh);
+}
+
+#else
+
+void
+compressShaNi(std::uint32_t*, const std::uint8_t*, std::size_t)
+{
+    osh_panic("SHA-NI kernel selected on a non-x86-64 host");
+}
+
+#endif
+
 } // namespace
+
+Kernel
+Sha256::defaultCompression()
+{
+    return shaHardwareAvailable() ? Kernel::Hardware : Kernel::Portable;
+}
+
+Kernel
+Sha256::compression()
+{
+    return kernelSlot().load(std::memory_order_relaxed);
+}
+
+void
+Sha256::setCompression(Kernel kernel)
+{
+    osh_assert(kernel != Kernel::Hardware || shaHardwareAvailable(),
+               "SHA-256 hardware kernel selected without SHA-NI");
+    kernelSlot().store(kernel, std::memory_order_relaxed);
+}
 
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -72,12 +187,21 @@ Sha256::Sha256()
 }
 
 void
-Sha256::processBlock(const std::uint8_t* block)
+Sha256::processBlocks(const std::uint8_t* data, std::size_t nblocks)
 {
-    if (referenceCompression_.load(std::memory_order_relaxed))
-        processBlockReference(block);
-    else
-        processBlockFast(block);
+    switch (compression()) {
+      case Kernel::Hardware:
+        compressShaNi(state_.data(), data, nblocks);
+        return;
+      case Kernel::Portable:
+        for (std::size_t b = 0; b < nblocks; ++b)
+            processBlockFast(data + b * sha256BlockSize);
+        return;
+      case Kernel::Reference:
+        for (std::size_t b = 0; b < nblocks; ++b)
+            processBlockReference(data + b * sha256BlockSize);
+        return;
+    }
 }
 
 void
@@ -183,13 +307,14 @@ Sha256::update(std::span<const std::uint8_t> data)
         bufferLen_ += take;
         pos = take;
         if (bufferLen_ == sha256BlockSize) {
-            processBlock(buffer_.data());
+            processBlocks(buffer_.data(), 1);
             bufferLen_ = 0;
         }
     }
-    while (pos + sha256BlockSize <= data.size()) {
-        processBlock(data.data() + pos);
-        pos += sha256BlockSize;
+    std::size_t whole = (data.size() - pos) / sha256BlockSize;
+    if (whole > 0) {
+        processBlocks(data.data() + pos, whole);
+        pos += whole * sha256BlockSize;
     }
     if (pos < data.size()) {
         std::memcpy(buffer_.data(), data.data() + pos, data.size() - pos);
@@ -215,12 +340,12 @@ Sha256::final()
     if (bufferLen_ > 56) {
         std::memset(buffer_.data() + bufferLen_, 0,
                     sha256BlockSize - bufferLen_);
-        processBlock(buffer_.data());
+        processBlocks(buffer_.data(), 1);
         bufferLen_ = 0;
     }
     std::memset(buffer_.data() + bufferLen_, 0, 56 - bufferLen_);
     storeBe64(buffer_.data() + 56, bit_len);
-    processBlock(buffer_.data());
+    processBlocks(buffer_.data(), 1);
     bufferLen_ = 0;
 
     Digest out;

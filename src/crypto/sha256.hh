@@ -6,21 +6,29 @@
  * application identity. The streaming interface (update/final) supports
  * hashing pages directly out of simulated machine memory.
  *
- * Two compression kernels exist: the straightforward FIPS 180-4
- * transcription (the reference), and an accelerated one that keeps the
- * message schedule in a rolling 16-word ring and unrolls the rounds in
- * register-rotated groups of eight, so no state shuffle or 64-word
- * spill survives into the hot loop. setReferenceCompression() selects
- * process-wide; known-answer and differential tests pin the two
- * kernels against each other. Host-speed only — simulated SHA cycles
- * are charged by the cost model either way.
+ * The compression function runs on one of three kernels (see
+ * crypto/kernel.hh), selected process-wide with setCompression():
+ *
+ *  - Hardware (the default when the CPU has SHA-NI): sha256rnds2 for
+ *    the rounds, sha256msg1 / sha256msg2 for the message schedule;
+ *  - Portable: the message schedule kept in a rolling 16-word ring and
+ *    the rounds unrolled in register-rotated groups of eight, so no
+ *    state shuffle or 64-word spill survives into the hot loop;
+ *  - Reference: the straightforward FIPS 180-4 transcription.
+ *
+ * Whole blocks are compressed in runs (a 4 KiB page is 64 blocks), so
+ * the hardware kernel keeps the state in registers across a page.
+ * Known-answer and differential tests pin the three kernels against
+ * each other. Host-speed only: simulated SHA cycles are charged by the
+ * cost model whatever kernel runs.
  */
 
 #ifndef OSH_CRYPTO_SHA256_HH
 #define OSH_CRYPTO_SHA256_HH
 
+#include "crypto/kernel.hh"
+
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -52,26 +60,22 @@ class Sha256
     static Digest hash(std::span<const std::uint8_t> data);
 
     /**
-     * Select the plain FIPS 180-4 compression loop process-wide
-     * (differential tests, host-speed ablation). Off (the default)
-     * uses the unrolled rolling-schedule kernel. Atomic: host threads
-     * may hash concurrently.
+     * Select the compression kernel process-wide (tests,
+     * bench_crypto). Selecting Kernel::Hardware when
+     * shaHardwareAvailable() is false is a programming error. Atomic:
+     * host threads may hash concurrently.
      */
-    static void setReferenceCompression(bool on)
-    {
-        referenceCompression_.store(on, std::memory_order_relaxed);
-    }
-    static bool referenceCompression()
-    {
-        return referenceCompression_.load(std::memory_order_relaxed);
-    }
+    static void setCompression(Kernel kernel);
+    static Kernel compression();
+
+    /** Hardware when the CPU has SHA-NI, otherwise Portable. */
+    static Kernel defaultCompression();
 
   private:
-    void processBlock(const std::uint8_t* block);
+    /** Compress `nblocks` consecutive 64-byte blocks into state_. */
+    void processBlocks(const std::uint8_t* data, std::size_t nblocks);
     void processBlockReference(const std::uint8_t* block);
     void processBlockFast(const std::uint8_t* block);
-
-    inline static std::atomic<bool> referenceCompression_{false};
 
     std::array<std::uint32_t, 8> state_;
     std::array<std::uint8_t, sha256BlockSize> buffer_;

@@ -36,7 +36,7 @@ ShadowManager::install(const Context& ctx, GuestVA va_page,
     }
     pm[va_page] = Slot{entry, false};
     reverse_[entry.mpa].push_back({ctx, va_page});
-    stats_.counter("installs").inc();
+    stats_.counter(installs_, "installs").inc();
     OSH_TRACE_COUNT(tracer_, trace::Category::Shadow, "fills");
 }
 
@@ -54,7 +54,7 @@ ShadowManager::reactivate(const Context& ctx, GuestVA va_page,
     }
     eit->second.entry = entry;
     eit->second.suspended = false;
-    stats_.counter("reactivations").inc();
+    stats_.counter(reactivations_, "reactivations").inc();
     OSH_TRACE_COUNT(tracer_, trace::Category::Shadow, "reactivations");
     return true;
 }
@@ -89,7 +89,7 @@ ShadowManager::invalidateVa(Asid asid, GuestVA va_page)
             dropFromReverse(eit->second.entry.mpa, ctx, va_page);
             pm.erase(eit);
             --liveSlots_;
-            stats_.counter("va_invalidations").inc();
+            stats_.counter(vaInvalidations_, "va_invalidations").inc();
             OSH_TRACE_COUNT(tracer_, trace::Category::Shadow,
                             "va_invalidations");
         }
@@ -113,7 +113,7 @@ ShadowManager::invalidateAsid(Asid asid)
         liveSlots_ -= it->second.size();
         it = shadows_.erase(it);
     }
-    stats_.counter("asid_invalidations").inc();
+    stats_.counter(asidInvalidations_, "asid_invalidations").inc();
     OSH_TRACE_COUNT(tracer_, trace::Category::Shadow,
                     "asid_invalidations");
 }
@@ -133,7 +133,7 @@ ShadowManager::invalidateMpa(Mpa frame_base)
             continue;
         liveSlots_ -= sit->second.erase(m.vaPage);
     }
-    stats_.counter("mpa_invalidations").inc();
+    stats_.counter(mpaInvalidations_, "mpa_invalidations").inc();
     OSH_TRACE_COUNT(tracer_, trace::Category::Shadow,
                     "mpa_invalidations");
 }
@@ -152,7 +152,7 @@ ShadowManager::suspendMpa(Mpa frame_base)
         if (eit != sit->second.end())
             eit->second.suspended = true;
     }
-    stats_.counter("mpa_suspends").inc();
+    stats_.counter(mpaSuspends_, "mpa_suspends").inc();
     OSH_TRACE_COUNT(tracer_, trace::Category::Shadow, "mpa_suspends");
 }
 
@@ -162,7 +162,7 @@ ShadowManager::invalidateAll()
     shadows_.clear();
     reverse_.clear();
     liveSlots_ = 0;
-    stats_.counter("full_invalidations").inc();
+    stats_.counter(fullInvalidations_, "full_invalidations").inc();
     OSH_TRACE_COUNT(tracer_, trace::Category::Shadow,
                     "full_invalidations");
 }

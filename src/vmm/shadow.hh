@@ -52,6 +52,10 @@ class ShadowManager
   public:
     ShadowManager();
 
+    /** Non-copyable: the interned counters point into stats_. */
+    ShadowManager(const ShadowManager&) = delete;
+    ShadowManager& operator=(const ShadowManager&) = delete;
+
     /** Look up a cached translation; nullopt on shadow miss or when the
      *  entry is suspended (a cloak transition parked it). */
     std::optional<ShadowEntry> lookup(const Context& ctx,
@@ -145,6 +149,14 @@ class ShadowManager
     std::size_t liveSlots_ = 0;
     std::size_t peakSlots_ = 0;
     StatGroup stats_;
+    /** Resolved on first use, so they join the key set only then. */
+    Counter* installs_ = nullptr;
+    Counter* reactivations_ = nullptr;
+    Counter* vaInvalidations_ = nullptr;
+    Counter* asidInvalidations_ = nullptr;
+    Counter* mpaInvalidations_ = nullptr;
+    Counter* mpaSuspends_ = nullptr;
+    Counter* fullInvalidations_ = nullptr;
     trace::Tracer* tracer_ = nullptr;
 };
 

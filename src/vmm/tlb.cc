@@ -56,7 +56,7 @@ Tlb::evictOne()
             continue; // Stale occurrence; a newer one is queued behind.
         queued_.erase(qit);
         if (entries_.erase(victim) > 0) {
-            stats_.counter("evictions").inc();
+            stats_.counter(evictions_, "evictions").inc();
             return;
         }
         // Last occurrence of an invalidated key: nothing to evict.
@@ -81,7 +81,7 @@ Tlb::compactFifo()
     }
     fifo_ = std::move(fresh);
     queued_ = std::move(seen);
-    stats_.counter("fifo_compactions").inc();
+    stats_.counter(fifoCompactions_, "fifo_compactions").inc();
 }
 
 void
@@ -129,7 +129,7 @@ Tlb::flushAll()
     entries_.clear();
     fifo_.clear();
     queued_.clear();
-    stats_.counter("full_flushes").inc();
+    stats_.counter(fullFlushes_, "full_flushes").inc();
 }
 
 } // namespace osh::vmm

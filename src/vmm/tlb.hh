@@ -146,6 +146,10 @@ class Tlb
     StatGroup stats_;
     Counter* hits_;
     Counter* misses_;
+    /** Resolved on first use, so they join the key set only then. */
+    Counter* evictions_ = nullptr;
+    Counter* fifoCompactions_ = nullptr;
+    Counter* fullFlushes_ = nullptr;
 };
 
 } // namespace osh::vmm

@@ -163,6 +163,19 @@ TEST(Stats, SnapshotSorted)
     EXPECT_EQ(snap[1].first, "b");
 }
 
+TEST(Stats, InternedCounterJoinsKeySetOnFirstUse)
+{
+    StatGroup g("x");
+    Counter* slot = nullptr;
+    EXPECT_TRUE(g.snapshot().empty());
+    g.counter(slot, "evictions").inc();
+    ASSERT_NE(slot, nullptr);
+    EXPECT_EQ(slot, &g.counter("evictions"));
+    g.counter(slot, "evictions").inc(2);
+    EXPECT_EQ(g.value("evictions"), 3u);
+    EXPECT_EQ(g.snapshot().size(), 1u);
+}
+
 TEST(Logging, FormatString)
 {
     EXPECT_EQ(formatString("x=%d s=%s", 3, "hi"), "x=3 s=hi");

@@ -7,6 +7,12 @@
  *   - HMAC-SHA256: RFC 4231.
  * Plus property tests (round trips, incrementality) and KeyManager
  * behaviour.
+ *
+ * Every AES, CTR, SHA-256 and HMAC test runs once per kernel
+ * (reference, portable, hardware; see crypto/kernel.hh), and the
+ * randomized differentials pin each kernel to the reference byte for
+ * byte. A hardware case skips, with its reason, on a CPU without the
+ * extension; the portable kernel is tested on every host.
  */
 
 #include "base/bytes.hh"
@@ -19,8 +25,18 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace osh::crypto
 {
+
+/** gtest prints a kernel parameter by name. */
+void
+PrintTo(Kernel kernel, std::ostream* os)
+{
+    *os << kernelName(kernel);
+}
+
 namespace
 {
 
@@ -33,7 +49,115 @@ keyFromHex(const std::string& hex)
     return k;
 }
 
-TEST(Aes, Fips197VectorEncrypt)
+const Kernel allKernels[] = {Kernel::Reference, Kernel::Portable,
+                             Kernel::Hardware};
+
+std::string
+kernelParamName(const ::testing::TestParamInfo<Kernel>& info)
+{
+    return kernelName(info.param);
+}
+
+/** Run @p f with the AES kernel set to @p kernel, then restore it. */
+template <typename F>
+void
+withAesKernel(Kernel kernel, F&& f)
+{
+    Kernel prev = Aes128::kernel();
+    Aes128::setKernel(kernel);
+    f();
+    Aes128::setKernel(prev);
+}
+
+/** Run @p f with the SHA-256 kernel set to @p kernel, then restore it. */
+template <typename F>
+void
+withShaKernel(Kernel kernel, F&& f)
+{
+    Kernel prev = Sha256::compression();
+    Sha256::setCompression(kernel);
+    f();
+    Sha256::setCompression(prev);
+}
+
+/** An AES (or AES-CTR) test, run with the AES kernel set to the param. */
+class AesOnKernel : public ::testing::TestWithParam<Kernel>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (GetParam() == Kernel::Hardware && !aesHardwareAvailable())
+            GTEST_SKIP() << "CPU lacks AES-NI: no hardware AES kernel";
+        Aes128::setKernel(GetParam());
+    }
+
+    void TearDown() override { Aes128::setKernel(Aes128::defaultKernel()); }
+};
+
+/** A SHA-256 (or HMAC) test, run with the SHA kernel set to the param. */
+class ShaOnKernel : public ::testing::TestWithParam<Kernel>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (GetParam() == Kernel::Hardware && !shaHardwareAvailable())
+            GTEST_SKIP() << "CPU lacks SHA-NI: no hardware SHA-256 kernel";
+        Sha256::setCompression(GetParam());
+    }
+
+    void
+    TearDown() override
+    {
+        Sha256::setCompression(Sha256::defaultCompression());
+    }
+};
+
+using Aes = AesOnKernel;
+using Ctr = AesOnKernel;
+using Sha = ShaOnKernel;
+using Hmac = ShaOnKernel;
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Aes, ::testing::ValuesIn(allKernels),
+                         kernelParamName);
+INSTANTIATE_TEST_SUITE_P(Kernels, Ctr, ::testing::ValuesIn(allKernels),
+                         kernelParamName);
+INSTANTIATE_TEST_SUITE_P(Kernels, Sha, ::testing::ValuesIn(allKernels),
+                         kernelParamName);
+INSTANTIATE_TEST_SUITE_P(Kernels, Hmac, ::testing::ValuesIn(allKernels),
+                         kernelParamName);
+
+TEST(CryptoKernel, DefaultIsHardwareExactlyWhenCpuHasIt)
+{
+    bool aes_ni = false;
+    bool sha_ni = false;
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    aes_ni = __builtin_cpu_supports("aes") != 0;
+    sha_ni = __builtin_cpu_supports("sha") != 0 &&
+             __builtin_cpu_supports("ssse3") != 0 &&
+             __builtin_cpu_supports("sse4.1") != 0;
+#endif
+    EXPECT_EQ(aesHardwareAvailable(), aes_ni);
+    EXPECT_EQ(shaHardwareAvailable(), sha_ni);
+    EXPECT_EQ(Aes128::defaultKernel(),
+              aes_ni ? Kernel::Hardware : Kernel::Portable);
+    EXPECT_EQ(Sha256::defaultCompression(),
+              sha_ni ? Kernel::Hardware : Kernel::Portable);
+    // Every test restores the default, so the process still runs it.
+    EXPECT_EQ(Aes128::kernel(), Aes128::defaultKernel());
+    EXPECT_EQ(Sha256::compression(), Sha256::defaultCompression());
+}
+
+TEST(CryptoKernel, Names)
+{
+    EXPECT_STREQ(kernelName(Kernel::Reference), "reference");
+    EXPECT_STREQ(kernelName(Kernel::Portable), "portable");
+    EXPECT_STREQ(kernelName(Kernel::Hardware), "hardware");
+}
+
+TEST_P(Aes, Fips197VectorEncrypt)
 {
     // FIPS-197 appendix C.1.
     Aes128 aes(keyFromHex("000102030405060708090a0b0c0d0e0f"));
@@ -44,7 +168,7 @@ TEST(Aes, Fips197VectorEncrypt)
               "69c4e0d86a7b0430d8cdb78070b4c55a");
 }
 
-TEST(Aes, Fips197VectorDecrypt)
+TEST(AesDecrypt, Fips197Vector)
 {
     Aes128 aes(keyFromHex("000102030405060708090a0b0c0d0e0f"));
     auto ct = fromHex("69c4e0d86a7b0430d8cdb78070b4c55a");
@@ -54,9 +178,9 @@ TEST(Aes, Fips197VectorDecrypt)
               "00112233445566778899aabbccddeeff");
 }
 
-TEST(Aes, Sp80038aEcbVectors)
+TEST_P(Aes, Sp80038aEcbVectors)
 {
-    // NIST SP 800-38A F.1.1 (ECB-AES128.Encrypt), first two blocks.
+    // NIST SP 800-38A F.1.1 (ECB-AES128.Encrypt), all four blocks.
     Aes128 aes(keyFromHex("2b7e151628aed2a6abf7158809cf4f3c"));
     struct { const char* pt; const char* ct; } cases[] = {
         {"6bc1bee22e409f96e93d7e117393172a",
@@ -77,9 +201,22 @@ TEST(Aes, Sp80038aEcbVectors)
         aes.decryptBlock(ct, back);
         EXPECT_EQ(toHex(std::span<const std::uint8_t>(back, 16)), c.pt);
     }
+    // The same vectors through the bulk entry point, repeated to 12
+    // blocks: one eight-block group, one four-block group, and every
+    // block count in between through the tails.
+    for (std::size_t nblocks = 1; nblocks <= 12; ++nblocks) {
+        std::string pt_hex, ct_hex;
+        for (std::size_t b = 0; b < nblocks; ++b) {
+            pt_hex += cases[b % 4].pt;
+            ct_hex += cases[b % 4].ct;
+        }
+        auto buf = fromHex(pt_hex);
+        aes.encryptBlocks(buf.data(), buf.data(), nblocks);
+        EXPECT_EQ(toHex(buf), ct_hex) << nblocks << " blocks";
+    }
 }
 
-TEST(Aes, EncryptDecryptRoundTripRandom)
+TEST_P(Aes, EncryptDecryptRoundTripRandom)
 {
     Rng rng(123);
     for (int trial = 0; trial < 50; ++trial) {
@@ -95,7 +232,7 @@ TEST(Aes, EncryptDecryptRoundTripRandom)
     }
 }
 
-TEST(Aes, InPlaceAliasedBuffers)
+TEST_P(Aes, InPlaceAliasedBuffers)
 {
     Aes128 aes(keyFromHex("000102030405060708090a0b0c0d0e0f"));
     auto buf = fromHex("00112233445566778899aabbccddeeff");
@@ -105,10 +242,10 @@ TEST(Aes, InPlaceAliasedBuffers)
     EXPECT_EQ(toHex(buf), "00112233445566778899aabbccddeeff");
 }
 
-TEST(Aes, ReferencePathMatchesFips197)
+TEST(AesReference, Fips197Vector)
 {
     // The byte-wise reference path is always callable, whatever the
-    // dispatch mode — the differential anchor for the T-table kernel.
+    // selected kernel — the differential anchor for the fast kernels.
     Aes128 aes(keyFromHex("000102030405060708090a0b0c0d0e0f"));
     auto pt = fromHex("00112233445566778899aabbccddeeff");
     std::uint8_t ct[16];
@@ -117,24 +254,7 @@ TEST(Aes, ReferencePathMatchesFips197)
               "69c4e0d86a7b0430d8cdb78070b4c55a");
 }
 
-TEST(Aes, ReferenceModePassesSp80038aVectors)
-{
-    // The NIST ECB vectors must hold on both encrypt kernels.
-    Aes128 aes(keyFromHex("2b7e151628aed2a6abf7158809cf4f3c"));
-    aes.setReferenceMode(true);
-    EXPECT_TRUE(aes.referenceMode());
-    auto pt = fromHex("6bc1bee22e409f96e93d7e117393172a");
-    std::uint8_t ct[16];
-    aes.encryptBlock(pt.data(), ct);
-    EXPECT_EQ(toHex(std::span<const std::uint8_t>(ct, 16)),
-              "3ad77bb40d7a3660a89ecaf32466ef97");
-    aes.setReferenceMode(false);
-    aes.encryptBlock(pt.data(), ct);
-    EXPECT_EQ(toHex(std::span<const std::uint8_t>(ct, 16)),
-              "3ad77bb40d7a3660a89ecaf32466ef97");
-}
-
-TEST(Aes, TtableMatchesReferenceRandom)
+TEST_P(Aes, BlockMatchesReferenceRandom)
 {
     Rng rng(2026);
     for (int trial = 0; trial < 1000; ++trial) {
@@ -152,13 +272,14 @@ TEST(Aes, TtableMatchesReferenceRandom)
     }
 }
 
-TEST(Aes, EncryptBlocksMatchesPerBlock)
+TEST_P(Aes, EncryptBlocksMatchesPerBlock)
 {
     Rng rng(404);
     AesKey key;
     rng.fill(key);
     Aes128 aes(key);
-    for (std::size_t nblocks : {1u, 2u, 3u, 7u, 8u, 9u, 16u, 256u}) {
+    for (std::size_t nblocks :
+         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 12u, 15u, 16u, 17u, 256u}) {
         std::vector<std::uint8_t> in(nblocks * aesBlockSize);
         rng.fill(in);
         std::vector<std::uint8_t> bulk(in.size());
@@ -175,37 +296,37 @@ TEST(Aes, EncryptBlocksMatchesPerBlock)
     }
 }
 
-TEST(Aes, BulkInterleavedMatchesSingleBlockRandom)
+TEST_P(Aes, BlocksMatchReferenceRandom)
 {
-    // 1000 random cases: the four-lane interleaved bulk kernel must be
-    // byte-identical to the per-block T-table and reference kernels at
-    // every block count, including the <4-block tail.
+    // 1000 random cases: the bulk entry point must be byte-identical to
+    // the byte-wise reference at every block count from 1 to 13, which
+    // covers the eight-way and four-way groups and every tail, both out
+    // of place at a random buffer offset and in place.
     Rng rng(0xb41c);
+    std::vector<std::uint8_t> arena(13 * aesBlockSize + 16);
     for (int trial = 0; trial < 1000; ++trial) {
         AesKey key;
         rng.fill(key);
-        Aes128 bulk(key);
-        Aes128 single(key);
-        single.setBulkMode(false);
-        EXPECT_TRUE(bulk.bulkMode());
-        EXPECT_FALSE(single.bulkMode());
+        Aes128 aes(key);
         std::size_t nblocks = 1 + static_cast<std::size_t>(
                                       rng.nextBounded(13));
-        std::vector<std::uint8_t> in(nblocks * aesBlockSize);
-        rng.fill(in);
-        std::vector<std::uint8_t> a(in.size()), b(in.size()),
-            r(in.size());
-        bulk.encryptBlocks(in.data(), a.data(), nblocks);
-        single.encryptBlocks(in.data(), b.data(), nblocks);
+        std::size_t offset = static_cast<std::size_t>(rng.nextBounded(16));
+        std::uint8_t* in = arena.data() + offset;
+        rng.fill(std::span<std::uint8_t>(in, nblocks * aesBlockSize));
+        std::vector<std::uint8_t> a(nblocks * aesBlockSize),
+            r(nblocks * aesBlockSize);
+        aes.encryptBlocks(in, a.data(), nblocks);
         for (std::size_t blk = 0; blk < nblocks; ++blk)
-            bulk.encryptBlockReference(in.data() + blk * aesBlockSize,
-                                       r.data() + blk * aesBlockSize);
-        ASSERT_EQ(a, b) << "trial " << trial << " blocks " << nblocks;
+            aes.encryptBlockReference(in + blk * aesBlockSize,
+                                      r.data() + blk * aesBlockSize);
         ASSERT_EQ(a, r) << "trial " << trial << " blocks " << nblocks;
+        aes.encryptBlocks(in, in, nblocks);
+        ASSERT_TRUE(std::equal(r.begin(), r.end(), in))
+            << "trial " << trial << " blocks " << nblocks << " aliased";
     }
 }
 
-TEST(Ctr, Sp80038aF511)
+TEST_P(Ctr, Sp80038aF511)
 {
     // NIST SP 800-38A F.5.1 CTR-AES128.Encrypt.
     Aes128 aes(keyFromHex("2b7e151628aed2a6abf7158809cf4f3c"));
@@ -227,58 +348,38 @@ TEST(Ctr, Sp80038aF511)
               "1e031dda2fbe03d1792170a0f3009cee");
 }
 
-TEST(Ctr, Sp80038aF511ReferenceMode)
+TEST_P(Ctr, MatchesReferenceRandom)
 {
-    // The same NIST CTR vector driven end-to-end through the byte-wise
-    // reference encrypt path.
-    Aes128 aes(keyFromHex("2b7e151628aed2a6abf7158809cf4f3c"));
-    aes.setReferenceMode(true);
-    Iv iv;
-    auto ivv = fromHex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
-    std::copy(ivv.begin(), ivv.end(), iv.begin());
-    auto pt = fromHex(
-        "6bc1bee22e409f96e93d7e117393172a"
-        "ae2d8a571e03ac9c9eb76fac45af8e51"
-        "30c81c46a35ce411e5fbc1191a0a52ef"
-        "f69f2445df4f9b17ad2b417be66c3710");
-    std::vector<std::uint8_t> ct(pt.size());
-    aesCtrXcrypt(aes, iv, pt, ct);
-    EXPECT_EQ(toHex(ct),
-              "874d6191b620e3261bef6864990db6ce"
-              "9806f66b7970fdff8617187bb9fffdff"
-              "5ae4df3edbd5d35e5b4f09020db03eab"
-              "1e031dda2fbe03d1792170a0f3009cee");
-}
-
-TEST(Ctr, DifferentialOptimizedVsReference)
-{
-    // 1000 random (key, IV, length, offset) cases: the batched T-table
-    // CTR pipeline must produce byte-identical output to the byte-wise
-    // reference kernel, including unaligned buffers and lengths that
-    // are not multiples of the batch or block size.
+    // 1000 random (key, IV, length, offset) cases: the CTR pipeline on
+    // this kernel must be byte-identical to the byte-wise reference,
+    // for unaligned buffers, lengths 0-4096 that are not multiples of
+    // the batch or block size, and in-place (aliased) operation.
     Rng rng(0xd1ff);
     std::vector<std::uint8_t> arena(4096 + 64);
     for (int trial = 0; trial < 1000; ++trial) {
         AesKey key;
         rng.fill(key);
-        Aes128 opt(key);
-        Aes128 ref(key);
-        ref.setReferenceMode(true);
+        Aes128 aes(key);
         Iv iv;
         rng.fill(iv);
         std::size_t offset = static_cast<std::size_t>(rng.nextBounded(64));
-        std::size_t len = static_cast<std::size_t>(rng.nextBounded(trial % 10 == 0 ? 4097 : 301));
+        std::size_t len = static_cast<std::size_t>(
+            rng.nextBounded(trial % 10 == 0 ? 4097 : 301));
         rng.fill(std::span<std::uint8_t>(arena.data() + offset, len));
-        std::span<const std::uint8_t> pt(arena.data() + offset, len);
-        std::vector<std::uint8_t> a(len), b(len);
-        aesCtrXcrypt(opt, iv, pt, a);
-        aesCtrXcrypt(ref, iv, pt, b);
-        ASSERT_EQ(a, b) << "trial " << trial << " len " << len
-                        << " offset " << offset;
+        std::span<std::uint8_t> pt(arena.data() + offset, len);
+        std::vector<std::uint8_t> a(len), ref(len);
+        aesCtrXcrypt(aes, iv, pt, a);
+        withAesKernel(Kernel::Reference,
+                      [&] { aesCtrXcrypt(aes, iv, pt, ref); });
+        ASSERT_EQ(a, ref) << "trial " << trial << " len " << len
+                          << " offset " << offset;
+        aesCtrXcryptInPlace(aes, iv, pt);
+        ASSERT_TRUE(std::equal(ref.begin(), ref.end(), pt.begin()))
+            << "trial " << trial << " len " << len << " aliased";
     }
 }
 
-TEST(Ctr, RoundTripArbitraryLengths)
+TEST_P(Ctr, RoundTripArbitraryLengths)
 {
     Rng rng(77);
     AesKey key;
@@ -299,7 +400,7 @@ TEST(Ctr, RoundTripArbitraryLengths)
     }
 }
 
-TEST(Ctr, DifferentIvsGiveDifferentCiphertext)
+TEST_P(Ctr, DifferentIvsGiveDifferentCiphertext)
 {
     Rng rng(9);
     AesKey key;
@@ -314,7 +415,7 @@ TEST(Ctr, DifferentIvsGiveDifferentCiphertext)
     EXPECT_NE(c1, c2);
 }
 
-TEST(Ctr, CounterCarryPropagates)
+TEST_P(Ctr, CounterCarryPropagates)
 {
     // IV ending in ff..ff must carry into higher counter bytes rather
     // than repeating the keystream block.
@@ -333,7 +434,7 @@ TEST(Ctr, CounterCarryPropagates)
               std::vector<std::uint8_t>(ks.begin() + 32, ks.end()));
 }
 
-TEST(Sha256, Fips180Vectors)
+TEST_P(Sha, Fips180Vectors)
 {
     struct { const char* msg; const char* digest; } cases[] = {
         {"",
@@ -350,7 +451,7 @@ TEST(Sha256, Fips180Vectors)
     }
 }
 
-TEST(Sha256, MillionAs)
+TEST_P(Sha, MillionAs)
 {
     // FIPS 180-4: one million repetitions of 'a'.
     Sha256 ctx;
@@ -361,39 +462,33 @@ TEST(Sha256, MillionAs)
               "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
-TEST(Sha256, FastCompressionMatchesReferenceRandom)
+TEST_P(Sha, MatchesReferenceRandom)
 {
-    // 1000 random (length, content) cases: the unrolled rolling-
-    // schedule compression must match the plain FIPS 180-4 loop,
-    // across block boundaries and the padding tail.
+    // 1000 random (length, content, split) cases: this kernel must
+    // match the plain FIPS 180-4 loop across block boundaries, the
+    // padding tail, multi-block runs and partially buffered updates.
     Rng rng(0x5a25);
-    ASSERT_FALSE(Sha256::referenceCompression());
     for (int trial = 0; trial < 1000; ++trial) {
         std::size_t len = static_cast<std::size_t>(
             rng.nextBounded(trial % 10 == 0 ? 4097 : 300));
         std::vector<std::uint8_t> data(len);
         rng.fill(data);
-        Digest fast = Sha256::hash(data);
-        Sha256::setReferenceCompression(true);
-        Digest ref = Sha256::hash(data);
-        Sha256::setReferenceCompression(false);
-        ASSERT_EQ(fast, ref) << "trial " << trial << " len " << len;
+        std::size_t split = static_cast<std::size_t>(
+            rng.nextBounded(len + 1));
+        Sha256 ctx;
+        ctx.update(std::span<const std::uint8_t>(data.data(), split));
+        ctx.update(std::span<const std::uint8_t>(data.data() + split,
+                                                 len - split));
+        Digest got = ctx.final();
+        Digest ref;
+        withShaKernel(Kernel::Reference,
+                      [&] { ref = Sha256::hash(data); });
+        ASSERT_EQ(got, ref) << "trial " << trial << " len " << len
+                            << " split " << split;
     }
 }
 
-TEST(Sha256, ReferenceCompressionPassesFipsVectors)
-{
-    Sha256::setReferenceCompression(true);
-    Sha256 ctx;
-    ctx.update(std::string("abc"));
-    Digest d = ctx.final();
-    Sha256::setReferenceCompression(false);
-    EXPECT_EQ(toHex(d),
-              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f2"
-              "0015ad");
-}
-
-TEST(Sha256, IncrementalMatchesOneShot)
+TEST_P(Sha, IncrementalMatchesOneShot)
 {
     Rng rng(31);
     std::vector<std::uint8_t> data(1000);
@@ -409,7 +504,7 @@ TEST(Sha256, IncrementalMatchesOneShot)
     }
 }
 
-TEST(Hmac, Rfc4231Case1)
+TEST_P(Hmac, Rfc4231Case1)
 {
     std::vector<std::uint8_t> key(20, 0x0b);
     std::string msg = "Hi There";
@@ -419,7 +514,7 @@ TEST(Hmac, Rfc4231Case1)
               "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
 }
 
-TEST(Hmac, Rfc4231Case2)
+TEST_P(Hmac, Rfc4231Case2)
 {
     std::string key = "Jefe";
     std::string msg = "what do ya want for nothing?";
@@ -432,7 +527,7 @@ TEST(Hmac, Rfc4231Case2)
               "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
 }
 
-TEST(Hmac, Rfc4231Case3)
+TEST_P(Hmac, Rfc4231Case3)
 {
     std::vector<std::uint8_t> key(20, 0xaa);
     std::vector<std::uint8_t> msg(50, 0xdd);
@@ -441,7 +536,7 @@ TEST(Hmac, Rfc4231Case3)
               "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
 }
 
-TEST(Hmac, Rfc4231Case6LongKey)
+TEST_P(Hmac, Rfc4231Case6LongKey)
 {
     // Key longer than the block size must be hashed first.
     std::vector<std::uint8_t> key(131, 0xaa);
@@ -452,7 +547,7 @@ TEST(Hmac, Rfc4231Case6LongKey)
               "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
-TEST(Hmac, MidstateMatchesOneShotRfc4231)
+TEST_P(Hmac, MidstateMatchesOneShotRfc4231)
 {
     // Every RFC 4231 vector must hold through the prepared-key
     // midstate path and the streaming context as well.
@@ -479,7 +574,7 @@ TEST(Hmac, MidstateMatchesOneShotRfc4231)
     }
 }
 
-TEST(Hmac, MidstateReusableAcrossMessages)
+TEST_P(Hmac, MidstateReusableAcrossMessages)
 {
     // One prepared key, many MACs: each must equal the one-shot MAC,
     // including for keys longer than the block size (hashed first).

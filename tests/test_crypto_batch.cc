@@ -12,10 +12,13 @@
  * observable, including what happens when integrity verification
  * fails mid-batch. The batch is the per-page loop run under one
  * cipher lookup, so every cost mode (constant-cost responses, chunked
- * integrity) must hold the same contract.
+ * integrity) must hold the same contract. The crypto kernel is no
+ * part of the contract either: a page sealed on one kernel unseals on
+ * any other (crypto/kernel.hh).
  */
 
 #include "cloak/engine.hh"
+#include "crypto/kernel.hh"
 #include "sim/machine.hh"
 #include "vmm/vcpu.hh"
 #include "vmm/vmm.hh"
@@ -24,6 +27,8 @@
 
 #include <cstring>
 #include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 namespace osh::cloak
@@ -423,6 +428,85 @@ TEST(CryptoBatch, SealPlaintextFramesIgnoresIrrelevantFrames)
     Cycles before = h.machine.cost().cycles();
     EXPECT_EQ(h.vmm.prepareFramesForKernel(gpas), 0u);
     EXPECT_EQ(h.machine.cost().cycles(), before);
+}
+
+/** Both page-crypto primitives on one kernel for the enclosing scope. */
+struct KernelScope
+{
+    explicit KernelScope(crypto::Kernel kernel)
+    {
+        crypto::Aes128::setKernel(kernel);
+        crypto::Sha256::setCompression(kernel);
+    }
+
+    ~KernelScope()
+    {
+        crypto::Aes128::setKernel(crypto::Aes128::defaultKernel());
+        crypto::Sha256::setCompression(
+            crypto::Sha256::defaultCompression());
+    }
+};
+
+TEST(CryptoBatch, SealedUnderOneKernelUnsealsUnderAnother)
+{
+    // Every kernel writes the same ciphertext, IV and MAC and charges
+    // the same cycles, and a page sealed on one kernel decrypts and
+    // verifies on every other. The hardware kernel joins when the CPU
+    // has both extensions; reference and portable run everywhere.
+    std::vector<crypto::Kernel> kernels = {crypto::Kernel::Reference,
+                                           crypto::Kernel::Portable};
+    if (crypto::aesHardwareAvailable() && crypto::shaHardwareAvailable())
+        kernels.push_back(crypto::Kernel::Hardware);
+
+    auto seal = [](Harness& h) {
+        h.dirtyAll();
+        auto items = h.allItems();
+        h.engine.encryptPages(h.res(), items);
+    };
+    Harness anchor;
+    {
+        KernelScope scope(kernels.front());
+        seal(anchor);
+    }
+
+    std::optional<Cycles> unsealed_cycles;
+    for (crypto::Kernel sealer : kernels) {
+        for (crypto::Kernel unsealer : kernels) {
+            if (sealer == unsealer)
+                continue;
+            SCOPED_TRACE(std::string("sealed on ") +
+                         crypto::kernelName(sealer) + ", unsealed on " +
+                         crypto::kernelName(unsealer));
+            Harness h;
+            {
+                KernelScope scope(sealer);
+                seal(h);
+            }
+            for (std::uint64_t i = 0; i < numPages; ++i) {
+                PageObservation sealed = observe(h, i);
+                EXPECT_EQ(sealed, observe(anchor, i)) << "page " << i;
+                EXPECT_EQ(sealed.state, PageState::Encrypted);
+            }
+            EXPECT_EQ(h.machine.cost().cycles(),
+                      anchor.machine.cost().cycles());
+
+            {
+                KernelScope scope(unsealer);
+                auto items = h.allItems();
+                h.engine.decryptPages(h.res(), items);
+            }
+            for (std::uint64_t i = 0; i < numPages; ++i) {
+                PageObservation plain = observe(h, i);
+                EXPECT_EQ(plain.state, PageState::PlaintextClean);
+                std::uint64_t word;
+                std::memcpy(&word, plain.frame.data(), sizeof(word));
+                EXPECT_EQ(word, 0xfeed0000 + i) << "page " << i;
+            }
+            if (!unsealed_cycles)
+                unsealed_cycles = h.machine.cost().cycles();
+            EXPECT_EQ(h.machine.cost().cycles(), *unsealed_cycles);
+        }
+    }
 }
 
 } // namespace
