@@ -9,6 +9,11 @@
  * without it, every transition pays a fresh IV, a full SHA-256 and a
  * metadata update. The figure shows total cycles and page-encryption
  * counts for both configurations.
+ *
+ * Writes BENCH_a1.json (`a1.<on|off>.<requests>.cycles`, the simulated
+ * cycles of the whole run, next to the informational
+ * `page_encrypts` / `clean_reencrypts` counts) for the perf-regression
+ * gate.
  */
 
 #include "bench_common.hh"
@@ -61,9 +66,18 @@ main()
     std::printf("%-10s | %14s %12s %10s | %14s %12s | %8s\n",
                 "requests", "opt-on(cyc)", "encrypts", "clean-re",
                 "opt-off(cyc)", "encrypts", "saving");
+    bench::BenchReport report("a1");
     for (std::uint64_t requests : {20u, 60u, 120u, 240u}) {
         Point on = run(true, requests);
         Point off = run(false, requests);
+        for (const auto& [series, p] : {std::pair{"on", on},
+                                        std::pair{"off", off}}) {
+            std::string base = std::string("a1.") + series + "." +
+                               std::to_string(requests);
+            report.set(base + ".cycles", p.cycles);
+            report.set(base + ".page_encrypts", p.encrypts);
+            report.set(base + ".clean_reencrypts", p.cleanReencrypts);
+        }
         std::printf("%-10llu | %14llu %12llu %10llu | %14llu %12llu "
                     "| %7.1f%%\n",
                     static_cast<unsigned long long>(requests),
@@ -77,5 +91,7 @@ main()
     }
     std::printf("\n(the optimization removes the hash+metadata cost "
                 "for pages the app only read)\n");
+
+    report.write();
     return 0;
 }

@@ -8,6 +8,11 @@
  * sweep runs a paging-heavy cloaked workload (working set larger than
  * RAM, random-ish reuse) across cache capacities and reports the hit
  * rate and the cycles attributable to metadata misses.
+ *
+ * Writes BENCH_a2.json (`a2.cap<N>.cycles`, the simulated cycles of the
+ * whole run, and `a2.cap<N>.miss_cycles`, next to the informational
+ * `metadata_hits` / `metadata_misses` counts) for the perf-regression
+ * gate.
  */
 
 #include "bench_common.hh"
@@ -22,6 +27,7 @@ main()
     std::printf("%-10s %14s %12s %12s %10s %14s\n", "capacity",
                 "cycles", "md hits", "md misses", "hit rate",
                 "miss cycles");
+    bench::BenchReport report("a2");
     for (std::size_t capacity : {16u, 64u, 256u, 1024u, 4096u}) {
         trace::TraceConfig tc;
         tc.enabled = bench::tracingRequested();
@@ -48,6 +54,11 @@ main()
                           : 0.0;
         std::uint64_t miss_cycles =
             misses * sys.machine().cost().params().metadataMiss;
+        std::string base = "a2.cap" + std::to_string(capacity);
+        report.set(base + ".cycles", sys.cycles());
+        report.set(base + ".metadata_hits", hits);
+        report.set(base + ".metadata_misses", misses);
+        report.set(base + ".miss_cycles", miss_cycles);
         std::printf("%-10zu %14llu %12llu %12llu %9.1f%% %14llu\n",
                     capacity,
                     static_cast<unsigned long long>(sys.cycles()),
@@ -57,5 +68,7 @@ main()
     }
     std::printf("\n(larger caches turn repeat transitions into hits; "
                 "the paper keeps metadata hot in the VMM)\n");
+
+    report.write();
     return 0;
 }

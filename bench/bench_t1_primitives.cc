@@ -20,7 +20,11 @@
  * Two host-only cases time the simulator's own hottest path, a guest
  * load64/store64 that hits the TLB of a warmed Vcpu: google-benchmark
  * reports them as BM_host_tlb_hit_*, and the JSON records them as
- * ungated `host_tlb_hit_{load64,store64}.ns_per_op`.
+ * ungated `host_tlb_hit_{load64,store64}.ns_per_op`. Three more time
+ * the TLB shootdowns a cloak flip issues, on a full 256-entry TLB:
+ * `tlb_shootdown_mpa_hit` (invalidateMpa of a mapped frame, then the
+ * re-insert that refills the slot), `tlb_shootdown_mpa_miss` and
+ * `tlb_shootdown_va_miss` (shootdowns that find nothing).
  */
 
 #include "bench_common.hh"
@@ -381,36 +385,79 @@ runPrimitive(benchmark::State& state, const Primitive& p)
 }
 
 /**
- * A host-only case: one guest access on the TLB-hit path of a Vcpu
- * whose TLB already holds the cloaked app page (the setup store
- * decrypts the page and installs a writable entry).
+ * A host-only case: `warm` runs once, then `op` is timed. The TLB-hit
+ * cases access the app page through a Vcpu whose TLB already holds it
+ * (the warm-up store decrypts the page and installs a writable entry);
+ * the shootdown cases work on a TLB filled to capacity.
  */
 struct HostOp
 {
     const char* name;
+    void (*warm)(Ctx&);
     void (*op)(Ctx&);
 };
 
-const HostOp hostOps[] = {
-    {"tlb_hit_load64",
-     [](Ctx& c) {
-         benchmark::DoNotOptimize(c.app.load64(Harness::appVa));
-     }},
-    {"tlb_hit_store64",
-     [](Ctx& c) { c.app.store64(Harness::appVa, ++c.scratch); }},
-};
-
 void
-warmHostOp(Ctx& c)
+warmAppPage(Ctx& c)
 {
     c.app.store64(Harness::appVa, 1);
 }
+
+/** Shootdown targets: an asid and frames the harness never maps. */
+constexpr Asid shootAsid = 9;
+constexpr vmm::Context shootCtx{shootAsid, systemDomain, false};
+constexpr Mpa shootFrames = 0x1'0000'0000ull;
+constexpr std::uint64_t shootEntries = 256;
+
+vmm::ShadowEntry
+shootEntry(std::uint64_t i)
+{
+    return {shootFrames + i * pageSize, true, true};
+}
+
+/** Fill core 0's TLB to capacity, one frame per entry. */
+void
+fillTlb(Ctx& c)
+{
+    for (std::uint64_t i = 0; i < shootEntries; ++i)
+        c.h.vmm.tlb(0).insert(shootCtx, i * pageSize, shootEntry(i));
+    osh_assert(c.h.vmm.tlb(0).size() == shootEntries,
+               "shootdown bench TLB not full");
+}
+
+const HostOp hostOps[] = {
+    {"tlb_hit_load64", warmAppPage,
+     [](Ctx& c) {
+         benchmark::DoNotOptimize(c.app.load64(Harness::appVa));
+     }},
+    {"tlb_hit_store64", warmAppPage,
+     [](Ctx& c) { c.app.store64(Harness::appVa, ++c.scratch); }},
+    // Shoot down one mapped frame, then refill its slot so the TLB
+    // stays full; walks every entry round-robin.
+    {"tlb_shootdown_mpa_hit", fillTlb,
+     [](Ctx& c) {
+         std::uint64_t i = c.scratch++ % shootEntries;
+         c.h.vmm.tlb(0).invalidateMpa(shootEntry(i).mpa);
+         c.h.vmm.tlb(0).insert(shootCtx, i * pageSize, shootEntry(i));
+     }},
+    {"tlb_shootdown_mpa_miss", fillTlb,
+     [](Ctx& c) {
+         c.h.vmm.tlb(0).invalidateMpa(
+             shootEntry(shootEntries + c.scratch++ % shootEntries).mpa);
+     }},
+    {"tlb_shootdown_va_miss", fillTlb,
+     [](Ctx& c) {
+         c.h.vmm.tlb(0).invalidateVa(shootAsid + 1,
+                                     (c.scratch++ % shootEntries) *
+                                         pageSize);
+     }},
+};
 
 void
 runHostOp(benchmark::State& state, const HostOp& h)
 {
     Ctx ctx(true);
-    warmHostOp(ctx);
+    h.warm(ctx);
     for (auto _ : state)
         h.op(ctx);
 }
@@ -421,7 +468,7 @@ hostNsPerOp(const HostOp& h)
 {
     constexpr std::uint64_t iters = 1 << 20;
     Ctx ctx(true);
-    warmHostOp(ctx);
+    h.warm(ctx);
     std::uint64_t start = bench::hostNowNs();
     for (std::uint64_t i = 0; i < iters; ++i)
         h.op(ctx);

@@ -137,7 +137,7 @@ Vmm::resolve(Vcpu& vcpu, const Context& ctx, GuestVA va_page,
             needs_guest_fault = true;
 
         if (needs_guest_fault) {
-            stats_.counter("guest_faults").inc();
+            stats_.counter(guestFaults_, "guest_faults").inc();
             OSH_TRACE_INSTANT(&machine_.tracer(), trace::Category::Vmm,
                               "guest_fault", ctx.view,
                               static_cast<Pid>(ctx.asid), va_page);
@@ -169,7 +169,7 @@ Vmm::resolve(Vcpu& vcpu, const Context& ctx, GuestVA va_page,
         // same frame is revalidated in place for a fraction of a full
         // shadow-page-table fill.
         if (shadows_.reactivate(ctx, va_page, entry)) {
-            stats_.counter("retention_hits").inc();
+            stats_.counter(retentionHits_, "retention_hits").inc();
             machine_.cost().charge(costs.shadowRevalidate,
                                    "shadow_revalidate");
         } else {
@@ -243,7 +243,7 @@ void
 Vmm::onContextSwitch()
 {
     if (shadowRetention_) {
-        stats_.counter("switches_retained").inc();
+        stats_.counter(switchesRetained_, "switches_retained").inc();
         return;
     }
     // Untagged shadow cache: a CR3 write wipes everything, and every
@@ -253,7 +253,7 @@ Vmm::onContextSwitch()
         t->flushAll();
     machine_.cost().charge(machine_.cost().params().tlbFlush,
                            "switch_flush");
-    stats_.counter("switch_flushes").inc();
+    stats_.counter(switchFlushes_, "switch_flushes").inc();
 }
 
 std::int64_t
@@ -265,7 +265,7 @@ Vmm::hypercall(Vcpu& vcpu, Hypercall num,
                     static_cast<Pid>(vcpu.context().asid),
                     static_cast<std::uint64_t>(num));
     chargeWorldSwitch("hypercall");
-    stats_.counter("hypercalls").inc();
+    stats_.counter(hypercalls_, "hypercalls").inc();
     return cloak_->hypercall(vcpu, num, args);
 }
 
@@ -274,7 +274,7 @@ Vmm::prepareFramesForKernel(std::span<const Gpa> gpas)
 {
     std::size_t sealed = cloak_->sealPlaintextFrames(gpas);
     if (sealed > 0)
-        stats_.counter("kernel_preseals").inc(sealed);
+        stats_.counter(kernelPreseals_, "kernel_preseals").inc(sealed);
     return sealed;
 }
 
@@ -311,7 +311,7 @@ Vmm::readTsc(Asid asid)
     if (vt <= vc.last)
         vt = vc.last + 1;
     vc.last = vt;
-    stats_.counter("tsc_virtual_reads").inc();
+    stats_.counter(tscVirtualReads_, "tsc_virtual_reads").inc();
     return vt;
 }
 
@@ -320,7 +320,7 @@ Vmm::chargeWorldSwitch(const char* reason)
 {
     const auto& costs = machine_.cost().params();
     machine_.cost().charge(costs.vmExit + costs.vmResume, reason);
-    stats_.counter("world_switches").inc();
+    stats_.counter(worldSwitches_, "world_switches").inc();
     OSH_TRACE_COUNT(&machine_.tracer(), trace::Category::Vmm,
                     "world_switches");
 }

@@ -199,6 +199,15 @@ class Vmm
     std::mutex vclockLock_;
 
     StatGroup stats_;
+    /** Interned on first use, so each joins the key set only then. */
+    Counter* guestFaults_ = nullptr;
+    Counter* retentionHits_ = nullptr;
+    Counter* worldSwitches_ = nullptr;
+    Counter* hypercalls_ = nullptr;
+    Counter* kernelPreseals_ = nullptr;
+    Counter* tscVirtualReads_ = nullptr;
+    Counter* switchFlushes_ = nullptr;
+    Counter* switchesRetained_ = nullptr;
 };
 
 } // namespace osh::vmm

@@ -187,34 +187,94 @@ TEST(Tlb, ReinsertAfterInvalidateDoesNotEvictLiveEntry)
     EXPECT_LE(tlb.size(), 4u);
 }
 
-TEST(Tlb, InvalidationChurnKeepsQueueBounded)
+TEST(Tlb, InvalidationChurnStaysWithinCapacity)
 {
     // Regression: the replacement queue grew by one stale key per
-    // invalidate/re-insert cycle, unboundedly.
+    // invalidate/re-insert cycle, unboundedly. Every entry now owns one
+    // of `capacity` slots, so churn can never hold more than that.
     Tlb tlb(4);
     Context ctx{1, 0, false};
     for (int i = 0; i < 1000; ++i) {
         GuestVA va = static_cast<GuestVA>(0x1000 + (i % 4) * pageSize);
         tlb.insert(ctx, va, {0x100000 + va, true, true});
+        ASSERT_LE(tlb.size(), 4u) << "step " << i;
         tlb.invalidateVa(1, va);
     }
-    EXPECT_LE(tlb.queueLength(), 8u); // 2 * capacity compaction bound.
+    EXPECT_EQ(tlb.size(), 0u);
+}
+
+TEST(Tlb, EvictionAfterInvalidationChurnIsFifo)
+{
+    // Regression: re-inserting an invalidated key left a stale queue
+    // occurrence behind, and once the queue passed 2 * capacity a
+    // compaction ran *before* the new key was entered, dropped it as
+    // dead and left it live but unqueued: never evicted, while the
+    // entries behind it were evicted in its place.
+    Tlb tlb(2);
+    Context ctx{1, 0, false};
+    const GuestVA a = 0x1000, b = 0x2000, c = 0x3000, d = 0x4000;
+    for (int i = 0; i < 4; ++i) {
+        tlb.insert(ctx, a, {0xa000, true, true});
+        tlb.invalidateVa(1, a);
+    }
+    tlb.insert(ctx, b, {0xb000, true, true});
+    tlb.insert(ctx, c, {0xc000, true, true});
+    tlb.insert(ctx, d, {0xd000, true, true}); // Evicts B, the oldest.
+    EXPECT_FALSE(tlb.lookup(ctx, b).has_value());
+    EXPECT_TRUE(tlb.lookup(ctx, c).has_value());
+    EXPECT_TRUE(tlb.lookup(ctx, d).has_value());
+    EXPECT_EQ(tlb.size(), 2u);
+}
+
+TEST(Tlb, OverwriteMovesEntryToNewFrame)
+{
+    Tlb tlb(8);
+    Context ctx{1, 0, false};
+    tlb.insert(ctx, 0x1000, {0x5000, true, true});
+    tlb.insert(ctx, 0x1000, {0x6000, true, false}); // New frame.
+    tlb.invalidateMpa(0x5000);
+    auto hit = tlb.lookup(ctx, 0x1000);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->mpa, 0x6000u);
+    tlb.invalidateMpa(0x6000);
+    EXPECT_FALSE(tlb.lookup(ctx, 0x1000).has_value());
     EXPECT_EQ(tlb.size(), 0u);
 }
 
 TEST(Tlb, InvalidationScopes)
 {
+    // asid 1 maps one page in two views and in kernel mode, all to one
+    // frame (the multi-shadowing case), next to other pages, asids and
+    // frames.
     Tlb tlb(16);
     Context a{1, 0, false};
+    Context a_view{1, 5, false};
+    Context a_kernel{1, 0, true};
     Context b{2, 0, false};
     tlb.insert(a, 0x1000, {0x5000, true, true});
+    tlb.insert(a_view, 0x1000, {0x5000, true, true});
+    tlb.insert(a_kernel, 0x1000, {0x5000, true, true});
     tlb.insert(a, 0x2000, {0x6000, true, true});
     tlb.insert(b, 0x1000, {0x7000, true, true});
+    tlb.insert(b, 0x3000, {0x5000, true, true});
 
-    tlb.invalidateVa(1, 0x1000);
+    tlb.invalidateVa(1, 0x1000); // Every view of the page.
     EXPECT_FALSE(tlb.lookup(a, 0x1000).has_value());
+    EXPECT_FALSE(tlb.lookup(a_view, 0x1000).has_value());
+    EXPECT_FALSE(tlb.lookup(a_kernel, 0x1000).has_value());
     EXPECT_TRUE(tlb.lookup(a, 0x2000).has_value());
     EXPECT_TRUE(tlb.lookup(b, 0x1000).has_value());
+    EXPECT_EQ(tlb.size(), 3u);
+
+    tlb.invalidateMpa(0x5010); // Any address within the frame.
+    EXPECT_FALSE(tlb.lookup(b, 0x3000).has_value());
+    EXPECT_EQ(tlb.size(), 2u);
+
+    // Shootdowns that match nothing remove nothing.
+    tlb.invalidateVa(3, 0x2000);
+    tlb.invalidateMpa(0x9000);
+    tlb.invalidateAsid(4);
+    EXPECT_EQ(tlb.size(), 2u);
 
     tlb.invalidateAsid(1);
     EXPECT_FALSE(tlb.lookup(a, 0x2000).has_value());
@@ -398,6 +458,8 @@ class RefTlb
         }
     }
 
+    std::size_t size() const { return entries_.size(); }
+
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
 
@@ -413,13 +475,30 @@ class RefTlb
     std::vector<Key> order_;
 };
 
-TEST(TlbFront, RandomizedDifferentialAgainstReference)
+/** Per-mille share of each operation; flushAll takes the rest. */
+struct OpMix
+{
+    int lookup;
+    int insert;
+    int invalidateVa;
+    int invalidateMpa;
+    int invalidateAsid;
+};
+
+/**
+ * Drive a Tlb and a RefTlb through the same random operations and
+ * require every lookup to agree; returns the reference's hit count and
+ * miss count through @p hits / @p misses.
+ */
+void
+runDifferential(std::uint64_t seed, const OpMix& mix, int ops,
+                std::uint64_t& hits, std::uint64_t& misses)
 {
     constexpr std::size_t capacity = 24;
     constexpr std::uint64_t pages = 192; // 3 VAs per front slot.
     Tlb tlb(capacity);
     RefTlb ref(capacity);
-    Rng rng(0x7F1B);
+    Rng rng(seed);
 
     // Mostly a hot set (2 contexts x 8 pages, within capacity) so most
     // lookups hit, with cold contexts and pages mixed in.
@@ -439,42 +518,44 @@ TEST(TlbFront, RandomizedDifferentialAgainstReference)
         return 0x100000 + rng.nextBounded(32) * pageSize;
     };
 
-    // 80% lookups, 12% inserts, 8% invalidations: every insert retires
-    // the front cache, so lookups must dominate for slots to stay live
-    // long enough that a missed epoch bump would be observed.
-    for (int op = 0; op < 20000; ++op) {
-        std::uint64_t r = rng.nextBounded(1000);
-        if (r < 800) {
+    const int insert_end = mix.lookup + mix.insert;
+    const int va_end = insert_end + mix.invalidateVa;
+    const int mpa_end = va_end + mix.invalidateMpa;
+    const int asid_end = mpa_end + mix.invalidateAsid;
+    for (int op = 0; op < ops; ++op) {
+        int r = static_cast<int>(rng.nextBounded(1000));
+        if (r < mix.lookup) {
             Context ctx = randCtx();
             GuestVA va = randVa();
             auto got = tlb.lookup(ctx, va);
             auto want = ref.lookup(ctx, va);
-            ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+            ASSERT_EQ(got.has_value(), want.has_value())
+                << "seed " << seed << " op " << op;
             if (got) {
                 ASSERT_EQ(got->mpa, want->mpa) << "op " << op;
                 ASSERT_EQ(got->canRead, want->canRead) << "op " << op;
                 ASSERT_EQ(got->canWrite, want->canWrite) << "op " << op;
             }
-        } else if (r < 920) {
+        } else if (r < insert_end) {
             Context ctx = randCtx();
             GuestVA va = randVa();
             ShadowEntry e{randFrame(), true, rng.nextBounded(2) == 1};
             tlb.insert(ctx, va, e);
             ref.insert(ctx, va, e);
-        } else if (r < 950) {
+        } else if (r < va_end) {
             Asid asid = static_cast<Asid>(1 + rng.nextBounded(2));
             GuestVA va = randVa();
             tlb.invalidateVa(asid, va);
             ref.eraseIf([&](const RefTlb::Key& k, const ShadowEntry&) {
                 return std::get<0>(k) == asid && std::get<3>(k) == va;
             });
-        } else if (r < 980) {
+        } else if (r < mpa_end) {
             Mpa frame = randFrame();
             tlb.invalidateMpa(frame);
             ref.eraseIf([&](const RefTlb::Key&, const ShadowEntry& e) {
                 return e.mpa == frame;
             });
-        } else if (r < 995) {
+        } else if (r < asid_end) {
             Asid asid = static_cast<Asid>(1 + rng.nextBounded(2));
             tlb.invalidateAsid(asid);
             ref.eraseIf([&](const RefTlb::Key& k, const ShadowEntry&) {
@@ -486,11 +567,41 @@ TEST(TlbFront, RandomizedDifferentialAgainstReference)
                 return true;
             });
         }
+        ASSERT_EQ(tlb.size(), ref.size()) << "seed " << seed << " op "
+                                          << op;
     }
-    EXPECT_EQ(tlb.stats().value("hits"), ref.hits);
-    EXPECT_EQ(tlb.stats().value("misses"), ref.misses);
-    EXPECT_GT(ref.hits, 1000u);
-    EXPECT_GT(ref.misses, 1000u);
+    EXPECT_EQ(tlb.stats().value("hits"), ref.hits) << "seed " << seed;
+    EXPECT_EQ(tlb.stats().value("misses"), ref.misses) << "seed " << seed;
+    hits = ref.hits;
+    misses = ref.misses;
+}
+
+TEST(TlbFront, RandomizedDifferentialAgainstReference)
+{
+    // 80% lookups, 12% inserts, 8% invalidations: every insert retires
+    // the front cache, so lookups must dominate for slots to stay live
+    // long enough that a missed epoch bump would be observed.
+    std::uint64_t hits = 0, misses = 0;
+    runDifferential(0x7F1B, OpMix{800, 120, 30, 30, 15}, 20000, hits,
+                    misses);
+    EXPECT_GT(hits, 1000u);
+    EXPECT_GT(misses, 1000u);
+}
+
+TEST(Tlb, ShootdownHeavyDifferentialAgainstReference)
+{
+    // 40% lookups, 35% inserts, 25% shootdowns (mostly by VA): keys are
+    // invalidated and re-inserted far more often than they age out, the
+    // churn that once broke FIFO order (see
+    // EvictionAfterInvalidationChurnIsFifo).
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+        std::uint64_t hits = 0, misses = 0;
+        runDifferential(seed, OpMix{400, 350, 200, 50, 0}, 4000, hits,
+                        misses);
+        if (HasFatalFailure())
+            return;
+        EXPECT_GT(hits, 100u) << "seed " << seed;
+    }
 }
 
 TEST(Registers, ScrubKeepsSyscallArgs)
