@@ -20,8 +20,9 @@
  *     (`host_kernel.<kernel>.{ctr_page,sha256_page}.mb_s`); the
  *     hardware rows are skipped on a CPU without the extension.
  *
- *     Host numbers vary by machine and are recorded under `host_`
- *     keys, which bench/compare.py reports but never gates.
+ *     Each host number is the median of five timed repeats after a
+ *     warm-up. Host numbers vary by machine and are recorded under
+ *     `host_` keys, which bench/compare.py reports but never gates.
  *
  *  3. Simulated cycles: the engine-level batched page-crypto API
  *     (encryptPages / decryptPages / sealPlaintextFrames) measured
@@ -46,6 +47,8 @@
 #include "vmm/vcpu.hh"
 #include "vmm/vmm.hh"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -83,16 +86,31 @@ struct HostResult
     std::uint64_t mbPerSec = 0;
 };
 
+/** Timed repeats per host measurement; the median is reported. */
+constexpr int hostRepeats = 5;
+
+/**
+ * Warm up, then time @p iters calls of @p op hostRepeats times and
+ * report the median repeat. A single loop lasts a few milliseconds, so
+ * one preemption or clock change lands whole in the result; the median
+ * drops such a repeat.
+ */
 template <typename F>
 HostResult
 measureHost(std::size_t bytes_per_op, int iters, F&& op)
 {
     for (int i = 0; i < iters / 8 + 1; ++i)
         op(i);
-    std::uint64_t t0 = bench::hostNowNs();
-    for (int i = 0; i < iters; ++i)
-        op(i);
-    std::uint64_t elapsed = bench::hostNowNs() - t0;
+    std::array<std::uint64_t, hostRepeats> times{};
+    for (std::uint64_t& t : times) {
+        std::uint64_t t0 = bench::hostNowNs();
+        for (int i = 0; i < iters; ++i)
+            op(i);
+        t = bench::hostNowNs() - t0;
+    }
+    std::nth_element(times.begin(), times.begin() + hostRepeats / 2,
+                     times.end());
+    std::uint64_t elapsed = times[hostRepeats / 2];
     HostResult r;
     r.nsPerOp = elapsed / static_cast<std::uint64_t>(iters);
     r.mbPerSec = bench::mbPerSec(

@@ -2,15 +2,15 @@
  * @file
  * Crypto kernel selection: which implementation of a primitive runs.
  *
- * AES-128 and SHA-256 each have three kernels that compute the same
- * function, bit for bit:
+ * AES-128 and SHA-256 each select among three kernels that compute
+ * the same function, bit for bit:
  *
  *  - Reference: a straight transcription of the spec (byte-wise
  *    FIPS-197 AES, the plain FIPS 180-4 compression loop). The anchor
  *    for known-answer and differential tests.
- *  - Portable: optimized C++ with no intrinsics (T-table AES four
- *    blocks interleaved, SHA-256 with a rolling schedule). Runs on
- *    every host.
+ *  - Portable: C++ with no intrinsics that runs on every host. For AES
+ *    it is T-table code, four blocks interleaved; for SHA-256 it is the
+ *    reference loop, which no unrolled variant measured beat.
  *  - Hardware: x86-64 AES-NI (eight blocks interleaved through
  *    aesenc) and SHA-NI (sha256rnds2 / msg1 / msg2).
  *

@@ -41,33 +41,6 @@ rotr(std::uint32_t x, int n)
     return (x >> n) | (x << (32 - n));
 }
 
-/** One compression round with explicit register roles: writes only h
- *  (the new working value) and d (the e-chain carry), so unrolled
- *  callers rotate arguments instead of shuffling eight temporaries. */
-inline void
-round(std::uint32_t a, std::uint32_t b, std::uint32_t c,
-      std::uint32_t& d, std::uint32_t e, std::uint32_t f,
-      std::uint32_t g, std::uint32_t& h, std::uint32_t kw)
-{
-    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t t1 = h + s1 + ch + kw;
-    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    d += t1;
-    h = t1 + s0 + maj;
-}
-
-/** Schedule extension: w[i] from w[i-16], w[i-15], w[i-7], w[i-2]. */
-inline std::uint32_t
-extendWord(std::uint32_t w16, std::uint32_t w15, std::uint32_t w7,
-           std::uint32_t w2)
-{
-    std::uint32_t s0 = rotr(w15, 7) ^ rotr(w15, 18) ^ (w15 >> 3);
-    std::uint32_t s1 = rotr(w2, 17) ^ rotr(w2, 19) ^ (w2 >> 10);
-    return w16 + s0 + w7 + s1;
-}
-
 /** The process-wide kernel, resolved from CPUID on first use. */
 std::atomic<Kernel>&
 kernelSlot()
@@ -194,60 +167,11 @@ Sha256::processBlocks(const std::uint8_t* data, std::size_t nblocks)
         compressShaNi(state_.data(), data, nblocks);
         return;
       case Kernel::Portable:
-        for (std::size_t b = 0; b < nblocks; ++b)
-            processBlockFast(data + b * sha256BlockSize);
-        return;
       case Kernel::Reference:
         for (std::size_t b = 0; b < nblocks; ++b)
             processBlockReference(data + b * sha256BlockSize);
         return;
     }
-}
-
-void
-Sha256::processBlockFast(const std::uint8_t* block)
-{
-    // Rolling 16-word schedule; rounds unrolled in groups of eight
-    // with rotated register roles, so the working state never moves.
-    std::uint32_t w[16];
-    for (int i = 0; i < 16; ++i)
-        w[i] = loadBe32(block + i * 4);
-
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2],
-                  d = state_[3], e = state_[4], f = state_[5],
-                  g = state_[6], h = state_[7];
-
-    auto rounds8 = [&](const std::uint32_t* kw,
-                       const std::uint32_t* ws) {
-        round(a, b, c, d, e, f, g, h, kw[0] + ws[0]);
-        round(h, a, b, c, d, e, f, g, kw[1] + ws[1]);
-        round(g, h, a, b, c, d, e, f, kw[2] + ws[2]);
-        round(f, g, h, a, b, c, d, e, kw[3] + ws[3]);
-        round(e, f, g, h, a, b, c, d, kw[4] + ws[4]);
-        round(d, e, f, g, h, a, b, c, kw[5] + ws[5]);
-        round(c, d, e, f, g, h, a, b, kw[6] + ws[6]);
-        round(b, c, d, e, f, g, h, a, kw[7] + ws[7]);
-    };
-
-    rounds8(k, w);
-    rounds8(k + 8, w + 8);
-    for (int i = 16; i < 64; i += 16) {
-        for (int j = 0; j < 16; ++j) {
-            w[j] = extendWord(w[j], w[(j + 1) & 15], w[(j + 9) & 15],
-                              w[(j + 14) & 15]);
-        }
-        rounds8(k + i, w);
-        rounds8(k + i + 8, w + 8);
-    }
-
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
 }
 
 void

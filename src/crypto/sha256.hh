@@ -6,20 +6,19 @@
  * application identity. The streaming interface (update/final) supports
  * hashing pages directly out of simulated machine memory.
  *
- * The compression function runs on one of three kernels (see
+ * The compression function runs on one of two implementations (see
  * crypto/kernel.hh), selected process-wide with setCompression():
  *
  *  - Hardware (the default when the CPU has SHA-NI): sha256rnds2 for
  *    the rounds, sha256msg1 / sha256msg2 for the message schedule;
- *  - Portable: the message schedule kept in a rolling 16-word ring and
- *    the rounds unrolled in register-rotated groups of eight, so no
- *    state shuffle or 64-word spill survives into the hot loop;
- *  - Reference: the straightforward FIPS 180-4 transcription.
+ *  - Portable and Reference: the straightforward FIPS 180-4 loop. An
+ *    unrolled rolling-schedule variant measured no faster than this
+ *    loop under g++ -O2, so Portable runs the reference code.
  *
  * Whole blocks are compressed in runs (a 4 KiB page is 64 blocks), so
  * the hardware kernel keeps the state in registers across a page.
- * Known-answer and differential tests pin the three kernels against
- * each other. Host-speed only: simulated SHA cycles are charged by the
+ * Known-answer and differential tests pin the kernels against each
+ * other. Host-speed only: simulated SHA cycles are charged by the
  * cost model whatever kernel runs.
  */
 
@@ -75,7 +74,6 @@ class Sha256
     /** Compress `nblocks` consecutive 64-byte blocks into state_. */
     void processBlocks(const std::uint8_t* data, std::size_t nblocks);
     void processBlockReference(const std::uint8_t* block);
-    void processBlockFast(const std::uint8_t* block);
 
     std::array<std::uint32_t, 8> state_;
     std::array<std::uint8_t, sha256BlockSize> buffer_;

@@ -2,18 +2,20 @@
  * @file
  * Injection points for a hostile guest kernel.
  *
- * MaliceConfig grew as a handful of one-shot toggles; AttackHooks is
- * its generalization: an interface the attack campaign's director
- * implements to interpose on every kernel touchpoint of cloaked state —
- * syscall entry (snoop/scribble/trap-frame probes), read() returns,
- * swap-out/-in (tamper, replay, resurrection), slot release (a hostile
- * disk keeps copies the device itself scrubs), and the fsync/exec
- * boundaries where sealed metadata bundles are exposed.
+ * AttackHooks is the one seam through which the guest kernel turns
+ * hostile: an interface called at every kernel touchpoint of cloaked
+ * state — syscall entry (snoop/scribble/trap-frame probes), read()
+ * returns, swap-out/-in (tamper, replay, resurrection), slot release
+ * (a hostile disk keeps copies the device itself scrubs), SubmitBatch
+ * rings, and the fsync/exec boundaries where sealed metadata bundles
+ * are exposed. The attack campaign's director implements it with
+ * seeded per-point schedules; tests and the hostile-OS demo implement
+ * fixed attackers of their own.
  *
  * Every hook runs *inside* the kernel, in kernel mode, with the full
  * kernel view — exactly the vantage point of a compromised commodity
- * OS. Hooks default to no-ops so a kernel without a director installed
- * behaves identically to one built before this interface existed.
+ * OS. Hooks default to no-ops, and with no hooks installed the kernel
+ * is merely untrusted, not hostile.
  */
 
 #ifndef OSH_OS_ATTACK_HOOKS_HH

@@ -604,15 +604,6 @@ Kernel::swapOutAnon(Gpa gpa)
         [this, slot = *slot, replay_key](
             std::span<const std::uint8_t> sealed) {
             swap_.writeSlotPrepaid(slot, sealed);
-            if (malice_.tamperSwap) {
-                swap_.rawSlot(slot)[0] ^= 0xff;
-            }
-            if (malice_.replaySwap) {
-                auto fit = malice_.firstVersions.find(replay_key);
-                if (fit == malice_.firstVersions.end())
-                    malice_.firstVersions[replay_key] =
-                        swap_.rawSlot(slot);
-            }
             if (attackHooks_ != nullptr)
                 attackHooks_->onSwapOut(*this, slot, replay_key);
         });
@@ -628,15 +619,6 @@ Kernel::swapOutAnon(Gpa gpa)
         std::array<std::uint8_t, pageSize> buf;
         readFrameAsKernel(currentThread(), gpa, buf);
         swap_.writeSlot(*slot, buf);
-
-        if (malice_.tamperSwap) {
-            swap_.rawSlot(*slot)[0] ^= 0xff;
-        }
-        if (malice_.replaySwap) {
-            auto fit = malice_.firstVersions.find(replay_key);
-            if (fit == malice_.firstVersions.end())
-                malice_.firstVersions[replay_key] = swap_.rawSlot(*slot);
-        }
         if (attackHooks_ != nullptr)
             attackHooks_->onSwapOut(*this, *slot, replay_key);
     }
@@ -667,11 +649,6 @@ Kernel::swapIn(Process& proc, GuestVA va_page, Pte& pte, const Vma& vma)
 
     std::uint64_t replay_key =
         (std::uint64_t{proc.as.asid()} << 40) | pageNumber(va_page);
-    if (malice_.replaySwap) {
-        auto fit = malice_.firstVersions.find(replay_key);
-        if (fit != malice_.firstVersions.end())
-            buf = fit->second;
-    }
     if (attackHooks_ != nullptr)
         attackHooks_->onSwapIn(*this, slot, replay_key, buf);
 

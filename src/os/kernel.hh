@@ -10,9 +10,9 @@
  *
  * The kernel is *untrusted* in Overshadow's threat model: it manages
  * cloaked applications' resources but must never see their plaintext.
- * A MaliceConfig lets tests turn it actively hostile (snooping buffers,
- * tampering with swapped pages, replaying stale page contents) to
- * verify the cloak engine detects every attack.
+ * An installed os::AttackHooks turns it actively hostile (snooping
+ * buffers, tampering with swapped pages, replaying stale page
+ * contents) to verify the cloak engine detects every attack.
  */
 
 #ifndef OSH_OS_KERNEL_HH
@@ -62,36 +62,6 @@ class ProcessHost
 
     /** Called after a process fully exited (cloak teardown etc.). */
     virtual void onProcessExit(Process& proc) = 0;
-};
-
-/** Knobs that make the kernel actively malicious (attack tests). */
-struct MaliceConfig
-{
-    /** Record every page the kernel reads while snooping user memory at
-     *  each syscall entry (privacy probes). */
-    bool snoopUserMemory = false;
-    GuestVA snoopVa = 0;
-    std::vector<std::vector<std::uint8_t>> snoopedData;
-
-    /** Scribble over user memory at snoopVa on each syscall entry
-     *  (direct kernel tampering with application state). */
-    bool scribbleUserMemory = false;
-
-    /** Flip a byte of every page written to swap. */
-    bool tamperSwap = false;
-
-    /** Replay: on swap-in, return the *first* version ever swapped out
-     *  for that slot owner instead of the latest. */
-    bool replaySwap = false;
-    std::map<std::uint64_t, std::array<std::uint8_t, pageSize>> firstVersions;
-
-    /** Scribble over the user buffer after read() completes. */
-    bool corruptReadBuffers = false;
-
-    /** Record register files observed at syscall entry (to prove
-     *  scrubbing hides cloaked registers). */
-    bool recordTrapFrames = false;
-    std::vector<vmm::RegisterFile> trapFrames;
 };
 
 /** The guest kernel. */
@@ -200,12 +170,11 @@ class Kernel : public vmm::GuestOsHooks
     FrameAllocator& frames() { return frames_; }
     SwapDevice& swap() { return swap_; }
     ProgramRegistry& programs() { return programs_; }
-    MaliceConfig& malice() { return malice_; }
 
     /**
-     * Install (or clear, with nullptr) the hostile-kernel hooks. The
-     * attack campaign's director uses this; the legacy MaliceConfig
-     * knobs keep working independently.
+     * Install (or clear, with nullptr) the hostile-kernel hooks: the
+     * one seam through which the kernel turns hostile. The attack
+     * campaign's director and the tests' fixed attackers use it.
      */
     void setAttackHooks(AttackHooks* hooks) { attackHooks_ = hooks; }
     AttackHooks* attackHooks() { return attackHooks_; }
@@ -361,7 +330,6 @@ class Kernel : public vmm::GuestOsHooks
     std::map<Pid, std::uint64_t> freezeRequests_;
 
     bool cloakingAvailable_ = true;
-    MaliceConfig malice_;
     AttackHooks* attackHooks_ = nullptr;
     StatGroup stats_;
 };

@@ -34,26 +34,6 @@ Kernel::syscallEntry(Thread& t)
                     sysName(static_cast<Sys>(regs.gpr[0])),
                     t.vcpu.context().view, t.pid, regs.gpr[0],
                     regs.gpr[1]);
-    if (malice_.recordTrapFrames)
-        malice_.trapFrames.push_back(regs);
-    if (malice_.snoopUserMemory && malice_.snoopVa != 0) {
-        // A hostile kernel peeks at application memory on every trap.
-        Process& p = currentProcess();
-        if (validUserRange(p, malice_.snoopVa, 64, false)) {
-            std::vector<std::uint8_t> peek(64);
-            t.vcpu.readBytes(malice_.snoopVa, peek);
-            malice_.snoopedData.push_back(std::move(peek));
-        }
-    }
-    if (malice_.scribbleUserMemory && malice_.snoopVa != 0) {
-        // A hostile kernel overwrites application memory on every trap.
-        Process& p = currentProcess();
-        if (validUserRange(p, malice_.snoopVa, 16, true)) {
-            std::array<std::uint8_t, 16> junk;
-            junk.fill(0x66);
-            t.vcpu.writeBytes(malice_.snoopVa, junk);
-        }
-    }
     if (attackHooks_ != nullptr)
         attackHooks_->onSyscallEntry(*this, t);
 
@@ -510,12 +490,6 @@ Kernel::sysRead(Thread& t, std::uint64_t fd, GuestVA buf, std::uint64_t len)
     }
     f->offset += n;
 
-    if (malice_.corruptReadBuffers && n > 0) {
-        std::array<std::uint8_t, 16> junk;
-        junk.fill(0xcc);
-        std::size_t m = std::min<std::size_t>(junk.size(), n);
-        copyToUser(t, buf, std::span<const std::uint8_t>(junk.data(), m));
-    }
     if (attackHooks_ != nullptr && n > 0)
         attackHooks_->onReadReturn(*this, t, buf, n);
     stats_.counter("file_reads").inc();
@@ -613,12 +587,6 @@ Kernel::sysPread(Thread& t, std::uint64_t fd, GuestVA buf,
         done += in_page;
     }
 
-    if (malice_.corruptReadBuffers && n > 0) {
-        std::array<std::uint8_t, 16> junk;
-        junk.fill(0xcc);
-        std::size_t m = std::min<std::size_t>(junk.size(), n);
-        copyToUser(t, buf, std::span<const std::uint8_t>(junk.data(), m));
-    }
     if (attackHooks_ != nullptr && n > 0)
         attackHooks_->onReadReturn(*this, t, buf, n);
     stats_.counter("file_preads").inc();

@@ -36,10 +36,6 @@ SystemConfig::Builder::build() const
         throw std::invalid_argument(
             "SystemConfig: metadataCacheEntries must be > 0 "
             "(the metadata cache cannot hold nothing)");
-    if (cfg_.auditLogEntries == 0)
-        throw std::invalid_argument(
-            "SystemConfig: auditLogEntries must be > 0 "
-            "(violations must leave a trail)");
     if (!cfg_.cloakingEnabled && cfg_.victimCacheEntries != 0 &&
         cfg_.victimCacheEntries !=
             SystemConfig{}.victimCacheEntries) {
@@ -83,13 +79,6 @@ SystemConfig::Builder::build() const
             "dirty-chunk count otherwise, so seal time would still tell "
             "the kernel how much of a page the victim wrote");
     }
-    if (cfg_.attackSeed != 0 && cfg_.attackSeed == cfg_.seed) {
-        throw std::invalid_argument(
-            "SystemConfig: attackSeed must differ from seed — an "
-            "attack schedule aliasing the workload stream correlates "
-            "the adversary with its victim (0 derives a distinct "
-            "stream)");
-    }
     return cfg_;
 }
 
@@ -113,7 +102,6 @@ System::System(const SystemConfig& config)
             vmm_, config.seed ^ 0x05ead0u, config.metadataCacheEntries);
         engine_->setCleanOptimization(config.cleanOptimization);
         engine_->setVictimCacheCapacity(config.victimCacheEntries);
-        engine_->setAuditLogCapacity(config.auditLogEntries);
         engine_->setAsyncEvictDepth(config.asyncEvictDepth);
         engine_->setChunkedIntegrity(config.chunkedIntegrity);
         engine_->setConstantCostMode(config.constantCostCloak);

@@ -70,9 +70,6 @@ struct SystemConfig
     /** Re-encryption victim cache entries (0 disables; ablation). */
     std::size_t victimCacheEntries = 8;
 
-    /** Audit ring capacity; oldest events drop (counted) once full. */
-    std::size_t auditLogEntries = 256;
-
     /**
      * Simulated vCPUs the guest scheduler dispatches across (SMP,
      * 1..64). Dispatch order is vCPU-count invariant (one ready queue,
@@ -81,13 +78,6 @@ struct SystemConfig
      * each core warms a private TLB.
      */
     std::size_t vcpus = 1;
-
-    /**
-     * Seed for hostile-kernel attack injection (src/attack campaigns).
-     * 0 derives a distinct stream from the system seed, so the attack
-     * schedule never aliases workload randomness.
-     */
-    std::uint64_t attackSeed = 0;
 
     /**
      * Depth of the asynchronous re-encryption queue (in pages). 0 runs
@@ -136,11 +126,15 @@ struct SystemConfig
      */
     bool constantCostCloak = false;
 
-    /** The attack-injection seed actually used (resolves the 0 case). */
+    /**
+     * Seed for hostile-kernel attack injection (src/attack campaigns):
+     * a distinct stream derived from the system seed, so the attack
+     * schedule never aliases workload randomness.
+     */
     std::uint64_t
     effectiveAttackSeed() const
     {
-        return attackSeed != 0 ? attackSeed : seed ^ 0xa77acc5eedull;
+        return seed ^ 0xa77acc5eedull;
     }
 
     class Builder;
@@ -191,19 +185,9 @@ class SystemConfig::Builder
         cfg_.victimCacheEntries = n;
         return *this;
     }
-    Builder& auditLogEntries(std::size_t n)
-    {
-        cfg_.auditLogEntries = n;
-        return *this;
-    }
     Builder& vcpus(std::size_t n)
     {
         cfg_.vcpus = n;
-        return *this;
-    }
-    Builder& attackSeed(std::uint64_t s)
-    {
-        cfg_.attackSeed = s;
         return *this;
     }
     Builder& asyncEvictDepth(std::size_t n)

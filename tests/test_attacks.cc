@@ -3,23 +3,20 @@
  * Attack-campaign matrix tests: the hostile-OS campaign (src/attack)
  * must classify every attack-point × victim-workload × seed cell as
  * Detected or Harmless — never Leak (sentinel oracle hit) and never
- * Crash (silent corruption, non-cloak kill, or osh_panic). Also folds
- * in the legacy MaliceConfig knob matrix, proves the leak oracle
- * actually finds planted plaintext, and pins campaign determinism.
+ * Crash (silent corruption, non-cloak kill, or osh_panic). Also proves
+ * the leak oracle actually finds planted plaintext and pins campaign
+ * determinism.
  */
 
 #include "attack/campaign.hh"
 #include "attack/director.hh"
 #include "attack/points.hh"
 #include "os/env.hh"
-#include "os/kernel.hh"
-#include "os/layout.hh"
 #include "system/system.hh"
 #include "workloads/workloads.hh"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <stdexcept>
 
 namespace osh::attack
@@ -215,13 +212,13 @@ TEST(AttackCampaign, ConfigValidationRejectsNonsense)
 
 TEST(AttackCampaign, AttackSeedMustNotAliasWorkloadSeed)
 {
-    EXPECT_THROW(SystemConfig::Builder{}.seed(5).attackSeed(5).build(),
-                 std::invalid_argument);
-    SystemConfig cfg = SystemConfig::Builder{}.seed(5).build();
-    EXPECT_NE(cfg.effectiveAttackSeed(), cfg.seed);
-    SystemConfig explicit_cfg =
-        SystemConfig::Builder{}.seed(5).attackSeed(99).build();
-    EXPECT_EQ(explicit_cfg.effectiveAttackSeed(), 99u);
+    // The attack stream is derived from the workload seed by a fixed
+    // non-zero mask, so it can never alias it.
+    for (std::uint64_t seed : {0ull, 1ull, 5ull, 0xa77acc5eedull}) {
+        SystemConfig cfg = SystemConfig::Builder{}.seed(seed).build();
+        EXPECT_NE(cfg.effectiveAttackSeed(), cfg.seed);
+        EXPECT_EQ(cfg.effectiveAttackSeed(), seed ^ 0xa77acc5eedull);
+    }
 }
 
 /** The oracle must actually find plaintext when it IS kernel-visible —
@@ -273,102 +270,6 @@ TEST(LeakOracle, FindsPlantedSentinel)
                 leak.find("vfs inode") != std::string::npos)
         << leak;
 }
-
-/**
- * Legacy MaliceConfig knob matrix: every knob × every victim workload
- * must end in a clean exit, a refused protected-file open, or a
- * graceful cloak-violation kill — never silent corruption
- * (victimStatusCorrupt), never a non-cloak kill, never a panic.
- */
-class LegacyMalice
-    : public ::testing::TestWithParam<
-          std::tuple<std::string, std::string>>
-{
-};
-
-TEST_P(LegacyMalice, KnobNeverSilentlyCorrupts)
-{
-    const auto& [knob, workload] = GetParam();
-
-    bool paging = workload == "wl.victim.paging";
-    SystemConfig cfg = SystemConfig::Builder{}
-                           .seed(3)
-                           .guestFrames(paging ? 96 : 512)
-                           .cloaking(true)
-                           .build();
-    System sys(cfg);
-    workloads::registerAll(sys);
-
-    os::MaliceConfig& m = sys.kernel().malice();
-    if (knob == "snoop") {
-        m.snoopUserMemory = true;
-        m.snoopVa = os::mmapBase;
-    } else if (knob == "scribble") {
-        m.scribbleUserMemory = true;
-        m.snoopVa = os::mmapBase;
-    } else if (knob == "tamper_swap") {
-        m.tamperSwap = true;
-    } else if (knob == "replay_swap") {
-        m.replaySwap = true;
-    } else if (knob == "corrupt_read") {
-        m.corruptReadBuffers = true;
-    } else if (knob == "trap_frames") {
-        m.recordTrapFrames = true;
-    } else {
-        FAIL() << "unknown knob " << knob;
-    }
-
-    system::ExitResult init = sys.runProgram(workload);
-
-    bool violation_kill = false;
-    for (const auto& [pid, res] : sys.results()) {
-        if (!res.killed)
-            continue;
-        EXPECT_EQ(res.killReason.rfind("cloak violation", 0), 0u)
-            << "non-cloak kill under " << knob << " x " << workload
-            << ": " << res.killReason;
-        violation_kill = true;
-    }
-
-    bool acceptable = violation_kill || init.status == 0 ||
-                      init.status == workloads::victimStatusRefused;
-    EXPECT_TRUE(acceptable)
-        << knob << " x " << workload << " exited " << init.status
-        << " (killed=" << init.killed << " reason=" << init.killReason
-        << ")";
-    EXPECT_NE(init.status, workloads::victimStatusCorrupt)
-        << knob << " x " << workload
-        << ": victim observed silent corruption";
-
-    // Whatever the hostile kernel recorded, it holds no plaintext.
-    const std::uint64_t sentinel = workloads::attackSentinel(3);
-    for (const auto& bytes : m.snoopedData) {
-        std::uint64_t v = 0;
-        for (std::size_t off = 0; off + 8 <= bytes.size(); off += 8) {
-            std::memcpy(&v, bytes.data() + off, 8);
-            EXPECT_NE(v, sentinel);
-        }
-    }
-    for (const vmm::RegisterFile& regs : m.trapFrames) {
-        for (std::uint64_t g : regs.gpr)
-            EXPECT_NE(g, sentinel);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    KnobMatrix, LegacyMalice,
-    ::testing::Combine(
-        ::testing::Values("snoop", "scribble", "tamper_swap",
-                          "replay_swap", "corrupt_read", "trap_frames"),
-        ::testing::ValuesIn(workloads::victimNames())),
-    [](const auto& info) {
-        std::string name = std::get<0>(info.param) + "_" +
-                           std::get<1>(info.param);
-        for (char& c : name)
-            if (c == '.')
-                c = '_';
-        return name;
-    });
 
 } // namespace
 } // namespace osh::attack

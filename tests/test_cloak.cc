@@ -8,13 +8,16 @@
  */
 
 #include "cloak/engine.hh"
+#include "os/attack_hooks.hh"
 #include "os/env.hh"
 #include "system/system.hh"
 #include "workloads/workloads.hh"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <map>
 
 namespace osh
 {
@@ -45,8 +48,94 @@ nativeConfig(std::uint64_t frames = 1024)
 
 constexpr std::uint64_t secretValue = 0x5ec23e7'0dadbeefull;
 
-/** Secret at a fixed stack address so malice knobs can target it. */
+/** Secret at a fixed stack address so the hostile kernel can target it. */
 constexpr GuestVA secretVa = os::stackTop - 256;
+
+/**
+ * A fixed hostile kernel: each switch arms one always-on attack at its
+ * os::AttackHooks touchpoint. Unlike the campaign's AttackDirector it
+ * also strikes uncloaked processes, so the native runs serve as the
+ * positive controls that the attack itself works.
+ */
+class HostileKernel : public os::AttackHooks
+{
+  public:
+    /** Peek at 64 bytes at snoopVa on every syscall entry. */
+    bool snoop = false;
+    /** Overwrite 16 bytes at snoopVa with 0x66 on every syscall entry. */
+    bool scribble = false;
+    GuestVA snoopVa = 0;
+    /** Record the register file at every syscall entry. */
+    bool recordTrapFrames = false;
+    /** Overwrite the first 16 bytes of every read()/pread() with 0xcc. */
+    bool corruptReads = false;
+    /** Flip byte 0 of every page written to swap. */
+    bool tamperSwap = false;
+    /** On swap-in, hand back the first version ever swapped out for
+     *  the same (asid, va page) owner instead of the latest. */
+    bool replaySwap = false;
+
+    std::vector<std::vector<std::uint8_t>> snoopedData;
+    std::vector<vmm::RegisterFile> trapFrames;
+
+    void
+    onSyscallEntry(os::Kernel& kernel, os::Thread& t) override
+    {
+        if (recordTrapFrames)
+            trapFrames.push_back(t.vcpu.regs());
+        if (!snoop && !scribble)
+            return;
+        os::Process& p = kernel.currentProcess();
+        if (snoop && kernel.validUserRange(p, snoopVa, 64, false)) {
+            std::vector<std::uint8_t> peek(64);
+            t.vcpu.readBytes(snoopVa, peek);
+            snoopedData.push_back(std::move(peek));
+        }
+        if (scribble && kernel.validUserRange(p, snoopVa, 16, true)) {
+            std::array<std::uint8_t, 16> junk;
+            junk.fill(0x66);
+            t.vcpu.writeBytes(snoopVa, junk);
+        }
+    }
+
+    void
+    onReadReturn(os::Kernel& kernel, os::Thread& t, GuestVA buf,
+                 std::uint64_t len) override
+    {
+        if (!corruptReads)
+            return;
+        std::array<std::uint8_t, 16> junk;
+        junk.fill(0xcc);
+        std::size_t m = std::min<std::size_t>(junk.size(), len);
+        kernel.copyToUser(t, buf,
+                          std::span<const std::uint8_t>(junk.data(), m));
+    }
+
+    void
+    onSwapOut(os::Kernel& kernel, os::SwapSlot slot,
+              std::uint64_t replay_key) override
+    {
+        if (tamperSwap)
+            kernel.swap().rawSlot(slot)[0] ^= 0xff;
+        if (replaySwap)
+            firstVersions_.emplace(replay_key, kernel.swap().rawSlot(slot));
+    }
+
+    void
+    onSwapIn(os::Kernel&, os::SwapSlot, std::uint64_t replay_key,
+             std::span<std::uint8_t> page) override
+    {
+        if (!replaySwap)
+            return;
+        auto it = firstVersions_.find(replay_key);
+        if (it != firstVersions_.end())
+            std::copy(it->second.begin(), it->second.end(), page.begin());
+    }
+
+  private:
+    std::map<std::uint64_t, std::array<std::uint8_t, pageSize>>
+        firstVersions_;
+};
 
 system::ExitResult
 runCloaked(System& sys, std::function<int(Env&)> body,
@@ -58,9 +147,11 @@ runCloaked(System& sys, std::function<int(Env&)> body,
 
 TEST(CloakPrivacy, KernelSnoopSeesOnlyCiphertext)
 {
+    HostileKernel hostile;
+    hostile.snoop = true;
+    hostile.snoopVa = secretVa;
     System sys(cloakedConfig());
-    sys.kernel().malice().snoopUserMemory = true;
-    sys.kernel().malice().snoopVa = secretVa;
+    sys.kernel().setAttackHooks(&hostile);
 
     auto r = runCloaked(sys, [](Env& env) {
         env.store64(secretVa, secretValue);
@@ -73,7 +164,7 @@ TEST(CloakPrivacy, KernelSnoopSeesOnlyCiphertext)
     EXPECT_EQ(r.status, 0);
     EXPECT_FALSE(r.killed);
 
-    const auto& snoops = sys.kernel().malice().snoopedData;
+    const auto& snoops = hostile.snoopedData;
     ASSERT_FALSE(snoops.empty());
     for (const auto& bytes : snoops) {
         std::uint64_t v0 = 0;
@@ -86,9 +177,11 @@ TEST(CloakPrivacy, NativeBaselineLeaks)
 {
     // Sanity check of the attack itself: without Overshadow the same
     // snoop reads the secret in plaintext.
+    HostileKernel hostile;
+    hostile.snoop = true;
+    hostile.snoopVa = secretVa;
     System sys(nativeConfig());
-    sys.kernel().malice().snoopUserMemory = true;
-    sys.kernel().malice().snoopVa = secretVa;
+    sys.kernel().setAttackHooks(&hostile);
 
     runCloaked(sys, [](Env& env) {
         env.store64(secretVa, secretValue);
@@ -96,7 +189,7 @@ TEST(CloakPrivacy, NativeBaselineLeaks)
             env.getpid();
         return 0;
     });
-    const auto& snoops = sys.kernel().malice().snoopedData;
+    const auto& snoops = hostile.snoopedData;
     ASSERT_FALSE(snoops.empty());
     bool leaked = false;
     for (const auto& bytes : snoops) {
@@ -109,9 +202,11 @@ TEST(CloakPrivacy, NativeBaselineLeaks)
 
 TEST(CloakIntegrity, KernelScribbleDetected)
 {
+    HostileKernel hostile;
+    hostile.scribble = true;
+    hostile.snoopVa = secretVa;
     System sys(cloakedConfig());
-    sys.kernel().malice().scribbleUserMemory = true;
-    sys.kernel().malice().snoopVa = secretVa;
+    sys.kernel().setAttackHooks(&hostile);
 
     auto r = runCloaked(sys, [](Env& env) {
         env.store64(secretVa, secretValue);
@@ -126,10 +221,12 @@ TEST(CloakIntegrity, KernelScribbleDetected)
 
 TEST(CloakIntegrity, SwapTamperDetectedCloaked)
 {
+    HostileKernel hostile;
+    hostile.tamperSwap = true;
     SystemConfig cfg = cloakedConfig(96);
     System sys(cfg);
     workloads::registerAll(sys);
-    sys.kernel().malice().tamperSwap = true;
+    sys.kernel().setAttackHooks(&hostile);
     auto r = sys.runProgram("wl.memstress", {"200", "2"});
     EXPECT_TRUE(r.killed);
     EXPECT_NE(r.killReason.find("cloak violation"), std::string::npos);
@@ -140,10 +237,12 @@ TEST(CloakIntegrity, SwapTamperSilentlyCorruptsNative)
     // The contrast case: a native process gets corrupt data back and
     // never notices — exactly the failure mode Overshadow closes.
     auto checksum_with = [](bool tamper) {
+        HostileKernel hostile;
+        hostile.tamperSwap = tamper;
         SystemConfig cfg = nativeConfig(96);
         System sys(cfg);
         workloads::registerAll(sys);
-        sys.kernel().malice().tamperSwap = tamper;
+        sys.kernel().setAttackHooks(&hostile);
         auto r = sys.runProgram("wl.memstress", {"200", "2"});
         EXPECT_FALSE(r.killed);
         EXPECT_EQ(r.status, 0);
@@ -157,10 +256,12 @@ TEST(CloakIntegrity, SwapTamperSilentlyCorruptsNative)
 
 TEST(CloakIntegrity, SwapReplayDetected)
 {
+    HostileKernel hostile;
+    hostile.replaySwap = true;
     SystemConfig cfg = cloakedConfig(96);
     System sys(cfg);
     workloads::registerAll(sys);
-    sys.kernel().malice().replaySwap = true;
+    sys.kernel().setAttackHooks(&hostile);
     // Multiple passes modify pages between swap cycles, so the replayed
     // first version no longer matches the metadata.
     auto r = sys.runProgram("wl.memstress", {"200", "3"});
@@ -170,13 +271,21 @@ TEST(CloakIntegrity, SwapReplayDetected)
 
 TEST(CloakIntegrity, EmulatedFileIoImmuneToReadBufferCorruption)
 {
-    // The kernel corrupts every read() destination buffer it serves.
-    // Marshalled reads of ordinary files are corrupted; emulated reads
-    // of protected files never enter the kernel and stay intact.
-    auto run_case = [](bool protected_file) {
+    // The kernel corrupts every read() and pread() destination buffer
+    // it serves. Marshalled reads of ordinary files are corrupted;
+    // emulated reads of protected files never enter the kernel and
+    // stay intact.
+    struct Outcome
+    {
+        int status;
+        std::uint64_t kernelPreads;
+    };
+    auto run_case = [](bool protected_file, bool positional) {
+        HostileKernel hostile;
+        hostile.corruptReads = true;
         System sys(cloakedConfig());
-        sys.kernel().malice().corruptReadBuffers = true;
-        return runCloaked(sys, [protected_file](Env& env) {
+        sys.kernel().setAttackHooks(&hostile);
+        auto r = runCloaked(sys, [protected_file, positional](Env& env) {
             std::string path;
             if (protected_file) {
                 env.mkdir("/cloaked");
@@ -190,20 +299,44 @@ TEST(CloakIntegrity, EmulatedFileIoImmuneToReadBufferCorruption)
             if (fd < 0)
                 return 90;
             env.writeAll(fd, "precious bytes");
-            env.lseek(fd, 0, os::seekSet);
-            std::string back = env.readSome(fd, 32);
+            std::string back;
+            if (positional) {
+                GuestVA buf = env.allocPages(1);
+                std::int64_t n = env.pread(fd, buf, 32, 0);
+                if (n > 0) {
+                    std::vector<std::uint8_t> bytes(
+                        static_cast<std::size_t>(n));
+                    env.readBytes(buf, bytes);
+                    back.assign(bytes.begin(), bytes.end());
+                }
+            } else {
+                env.lseek(fd, 0, os::seekSet);
+                back = env.readSome(fd, 32);
+            }
             env.close(fd);
             return back == "precious bytes" ? 0 : 1;
         });
+        return Outcome{r.status, sys.kernel().stats().value("file_preads")};
     };
-    EXPECT_EQ(run_case(true).status, 0);
-    EXPECT_EQ(run_case(false).status, 1);
+    EXPECT_EQ(run_case(true, false).status, 0);
+    EXPECT_EQ(run_case(false, false).status, 1);
+
+    // pread: the shim serves the protected file itself (emulatedPread)
+    // and marshals the plain one through the kernel's Sys::Pread.
+    Outcome protected_pread = run_case(true, true);
+    EXPECT_EQ(protected_pread.status, 0);
+    EXPECT_EQ(protected_pread.kernelPreads, 0u);
+    Outcome plain_pread = run_case(false, true);
+    EXPECT_EQ(plain_pread.status, 1);
+    EXPECT_GE(plain_pread.kernelPreads, 1u);
 }
 
 TEST(CloakRegisters, ScrubHidesAndRestores)
 {
+    HostileKernel hostile;
+    hostile.recordTrapFrames = true;
     System sys(cloakedConfig());
-    sys.kernel().malice().recordTrapFrames = true;
+    sys.kernel().setAttackHooks(&hostile);
 
     auto r = runCloaked(sys, [](Env& env) {
         env.regs().gpr[8] = secretValue;
@@ -218,7 +351,7 @@ TEST(CloakRegisters, ScrubHidesAndRestores)
     });
     EXPECT_EQ(r.status, 0);
 
-    const auto& frames = sys.kernel().malice().trapFrames;
+    const auto& frames = hostile.trapFrames;
     ASSERT_FALSE(frames.empty());
     for (const auto& f : frames) {
         for (std::size_t i = 0; i < vmm::numGprs; ++i) {
@@ -230,15 +363,17 @@ TEST(CloakRegisters, ScrubHidesAndRestores)
 
 TEST(CloakRegisters, NativeTrapFramesLeakRegisters)
 {
+    HostileKernel hostile;
+    hostile.recordTrapFrames = true;
     System sys(nativeConfig());
-    sys.kernel().malice().recordTrapFrames = true;
+    sys.kernel().setAttackHooks(&hostile);
     runCloaked(sys, [](Env& env) {
         env.regs().gpr[8] = secretValue;
         env.getpid();
         return 0;
     });
     bool leaked = false;
-    for (const auto& f : sys.kernel().malice().trapFrames)
+    for (const auto& f : hostile.trapFrames)
         leaked |= f.gpr[8] == secretValue;
     EXPECT_TRUE(leaked);
 }

@@ -321,8 +321,6 @@ TEST(BuilderTest, RejectsNonsenseConfigs)
                  std::invalid_argument);
     EXPECT_THROW(SystemConfig::Builder{}.metadataCacheEntries(0).build(),
                  std::invalid_argument);
-    EXPECT_THROW(SystemConfig::Builder{}.auditLogEntries(0).build(),
-                 std::invalid_argument);
     EXPECT_THROW(SystemConfig::Builder{}
                      .cloaking(false)
                      .victimCacheEntries(4)
@@ -338,13 +336,11 @@ TEST(BuilderTest, BuildsValidatedConfig)
                    .cloaking(true)
                    .shadowRetention(false)
                    .victimCacheEntries(0)
-                   .auditLogEntries(16)
                    .build();
     EXPECT_EQ(cfg.guestFrames, 128u);
     EXPECT_EQ(cfg.seed, 7u);
     EXPECT_FALSE(cfg.shadowRetention);
     EXPECT_EQ(cfg.victimCacheEntries, 0u);
-    EXPECT_EQ(cfg.auditLogEntries, 16u);
 
     // Native baseline with the victim cache left at its default is
     // fine — the default is not an explicit request.
@@ -372,17 +368,17 @@ TEST(AuditLogTest, RingDropsOldestAndCounts)
 
 TEST_F(FastPathTest, EngineErrorsLandInBoundedRing)
 {
-    engine_.setAuditLogCapacity(2);
+    const std::size_t capacity = engine_.auditLog().capacity();
     crypto::Digest bogus{};
-    for (int i = 0; i < 3; ++i) {
+    for (std::size_t i = 0; i < capacity + 1; ++i) {
         auto r = engine_.verifyCtcHash(domain_, bogus);
         ASSERT_FALSE(r.ok());
         EXPECT_EQ(r.error(), CloakError::NoCtcHash);
     }
-    EXPECT_EQ(engine_.auditLog().size(), 2u);
+    EXPECT_EQ(engine_.auditLog().size(), capacity);
     EXPECT_EQ(engine_.auditLog().dropped(), 1u);
     EXPECT_EQ(engine_.auditLog().back().code, CloakError::NoCtcHash);
-    EXPECT_EQ(engine_.stats().value("audit_errors"), 3u);
+    EXPECT_EQ(engine_.stats().value("audit_errors"), capacity + 1);
 }
 
 // ---------------------------------------------------------------------
