@@ -8,9 +8,14 @@
 #include "cloak/engine.hh"
 #include "os/env.hh"
 #include "system/system.hh"
+#include "vmm/vcpu.hh"
+#include "vmm/vmm.hh"
 #include "workloads/workloads.hh"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
 
 namespace osh
 {
@@ -22,10 +27,10 @@ using system::System;
 using system::SystemConfig;
 
 SystemConfig
-cloakedConfig()
+cloakedConfig(bool cloaked = true)
 {
     SystemConfig cfg;
-    cfg.cloakingEnabled = true;
+    cfg.cloakingEnabled = cloaked;
     cfg.guestFrames = 1024;
     cfg.preemptOpsPerTick = 0;
     return cfg;
@@ -372,6 +377,245 @@ TEST(ShimPassthrough, ClockAndSleepAndYield)
         return 0;
     });
     EXPECT_EQ(r.status, 0) << r.killReason;
+}
+
+// ---------------------------------------------------------------------------
+// Cursor vs positional I/O: read/pread and write/pwrite are one data path
+// ---------------------------------------------------------------------------
+
+/** The three ways a file call is served. */
+enum class IoPath
+{
+    Native,     ///< Uncloaked process: the guest kernel serves it.
+    Marshalled, ///< Cloaked process, plain file: bounce-buffer copies.
+    Emulated,   ///< Cloaked process, protected file: mapping copies.
+};
+
+const char*
+ioPathName(IoPath path)
+{
+    switch (path) {
+      case IoPath::Native: return "native";
+      case IoPath::Marshalled: return "marshalled";
+      case IoPath::Emulated: return "emulated";
+    }
+    return "?";
+}
+
+/** The file the cases run against: longer than one 64 KiB bounce area
+ *  plus a page, and not page aligned. */
+constexpr std::uint64_t ioFileBytes = 24 * pageSize + 123;
+
+/** A transfer of `len` bytes at file offset `off`. */
+struct IoCase
+{
+    const char* name;
+    std::uint64_t off;
+    std::uint64_t len;
+};
+
+const IoCase ioCases[] = {
+    {"100 B", 300, 100},
+    {"4 KiB", 4000, pageSize},
+    {"64 KiB", 1000, 16 * pageSize},
+    {"64 KiB + 1", 0, 16 * pageSize + 1},
+    {"straddling EOF", ioFileBytes - 50, 100},
+    {"at EOF", ioFileBytes, 100},
+    {"zero length", 200, 0},
+};
+
+/** One cursor call and its positional twin at the same offset. */
+struct IoTwin
+{
+    std::string label;
+    std::int64_t cursorRv = 0, positionalRv = 0;
+    Cycles cursorCycles = 0, positionalCycles = 0;
+    /** Read: the bytes each call delivered. Write: the file range read
+     *  back after each call. */
+    std::vector<std::uint8_t> cursorBytes, positionalBytes;
+    /** What the bytes must be. */
+    std::vector<std::uint8_t> expected;
+    /** Cursor after both calls, and where the cursor call must leave
+     *  it (the positional call must not move it). */
+    std::int64_t cursorAfter = 0, cursorExpected = 0;
+};
+
+std::vector<std::uint8_t>
+ioPattern(std::uint64_t len, std::uint64_t salt)
+{
+    std::vector<std::uint8_t> v(len);
+    for (std::uint64_t i = 0; i < len; ++i)
+        v[i] = static_cast<std::uint8_t>((i + salt) * 131 + salt);
+    return v;
+}
+
+std::vector<IoTwin>
+runIoTwins(IoPath path)
+{
+    System sys(cloakedConfig(path != IoPath::Native));
+    std::vector<IoTwin> twins;
+    auto r = runCloaked(sys, [&](Env& env) {
+        auto now = [&env] {
+            return env.vcpu().vmm().machine().cost().cycles();
+        };
+        if (path == IoPath::Emulated)
+            env.mkdir("/cloaked");
+        std::int64_t f =
+            env.open(path == IoPath::Emulated ? "/cloaked/twin" : "/twin",
+                     os::openCreate | os::openRead | os::openWrite);
+        if (f < 0)
+            return 1;
+        const std::uint64_t fd = static_cast<std::uint64_t>(f);
+        const std::uint64_t bufPages = ioFileBytes / pageSize + 1;
+        const std::vector<std::uint8_t> content = ioPattern(ioFileBytes, 0);
+        GuestVA a = env.allocPages(bufPages);
+        GuestVA b = env.allocPages(bufPages);
+        GuestVA c = env.allocPages(bufPages);
+        env.writeBytes(a, content);
+        if (env.write(fd, a, ioFileBytes) !=
+            static_cast<std::int64_t>(ioFileBytes))
+            return 2;
+
+        auto bytesAt = [&env](GuestVA va, std::int64_t n) {
+            std::vector<std::uint8_t> v(
+                static_cast<std::size_t>(std::max<std::int64_t>(n, 0)));
+            env.readBytes(va, v);
+            return v;
+        };
+
+        for (const IoCase& k : ioCases) {
+            IoTwin t;
+            t.label = std::string(ioPathName(path)) + " read " + k.name;
+            std::uint64_t n =
+                k.off >= ioFileBytes
+                    ? 0
+                    : std::min(k.len, ioFileBytes - k.off);
+            t.expected.assign(content.begin() + k.off,
+                              content.begin() + k.off + n);
+            // The first pair warms the buffers, the page cache and the
+            // TLB; the second pair is measured.
+            for (int pass = 0; pass < 2; ++pass) {
+                env.lseek(fd, static_cast<std::int64_t>(k.off),
+                          os::seekSet);
+                Cycles c0 = now();
+                t.cursorRv = env.read(fd, a, k.len);
+                Cycles c1 = now();
+                t.positionalRv = env.pread(fd, b, k.len, k.off);
+                Cycles c2 = now();
+                t.cursorCycles = c1 - c0;
+                t.positionalCycles = c2 - c1;
+            }
+            t.cursorAfter = env.lseek(fd, 0, os::seekCur);
+            t.cursorExpected = static_cast<std::int64_t>(k.off + n);
+            t.cursorBytes = bytesAt(a, t.cursorRv);
+            t.positionalBytes = bytesAt(b, t.positionalRv);
+            twins.push_back(std::move(t));
+        }
+
+        std::uint64_t salt = 1;
+        for (const IoCase& k : ioCases) {
+            IoTwin t;
+            t.label = std::string(ioPathName(path)) + " write " + k.name;
+            t.expected = ioPattern(k.len, salt++);
+            env.writeBytes(a, t.expected);
+            env.writeBytes(b, t.expected);
+            // The warm pair also pays any size extension (the emulated
+            // path's one Ftruncate trap), so the measured pair does not.
+            for (int pass = 0; pass < 2; ++pass) {
+                env.lseek(fd, static_cast<std::int64_t>(k.off),
+                          os::seekSet);
+                Cycles c0 = now();
+                t.cursorRv = env.write(fd, a, k.len);
+                Cycles c1 = now();
+                env.pread(fd, c, k.len, k.off);
+                t.cursorBytes = bytesAt(c, t.cursorRv);
+                Cycles c2 = now();
+                t.positionalRv = env.pwrite(fd, b, k.len, k.off);
+                Cycles c3 = now();
+                env.pread(fd, c, k.len, k.off);
+                t.positionalBytes = bytesAt(c, t.positionalRv);
+                t.cursorCycles = c1 - c0;
+                t.positionalCycles = c3 - c2;
+            }
+            t.cursorAfter = env.lseek(fd, 0, os::seekCur);
+            t.cursorExpected = static_cast<std::int64_t>(k.off + k.len);
+            twins.push_back(std::move(t));
+        }
+        env.close(fd);
+        return 0;
+    });
+    EXPECT_EQ(r.status, 0) << ioPathName(path) << ": " << r.killReason;
+    return twins;
+}
+
+TEST(ShimIoTwins, CursorAndPositionalCallsAreOneDataPath)
+{
+    for (IoPath path :
+         {IoPath::Native, IoPath::Marshalled, IoPath::Emulated}) {
+        std::vector<IoTwin> twins = runIoTwins(path);
+        ASSERT_EQ(twins.size(), 2 * std::size(ioCases))
+            << ioPathName(path);
+        for (const IoTwin& t : twins) {
+            SCOPED_TRACE(t.label);
+            EXPECT_EQ(t.cursorRv,
+                      static_cast<std::int64_t>(t.expected.size()));
+            EXPECT_EQ(t.positionalRv, t.cursorRv);
+            EXPECT_EQ(t.cursorBytes, t.expected);
+            EXPECT_EQ(t.positionalBytes, t.expected);
+            EXPECT_EQ(t.positionalCycles, t.cursorCycles);
+            EXPECT_EQ(t.cursorAfter, t.cursorExpected);
+        }
+    }
+}
+
+TEST(ShimIoTwins, ErrnoOrderOnPipesAndBadFds)
+{
+    // Cursor and positional calls keep their own argument checks: a
+    // pipe serves read/write but refuses pread/pwrite, the wrong pipe
+    // end is a bad fd for read/write, and a closed fd is a bad fd for
+    // all four.
+    for (IoPath path : {IoPath::Native, IoPath::Marshalled}) {
+        System sys(cloakedConfig(path != IoPath::Native));
+        auto r = runCloaked(sys, [path](Env& env) {
+            GuestVA buf = env.allocPages(1);
+            const std::uint64_t bad = 99;
+            if (env.read(bad, buf, 8) != -os::errBadF ||
+                env.pread(bad, buf, 8, 0) != -os::errBadF ||
+                env.write(bad, buf, 8) != -os::errBadF ||
+                env.pwrite(bad, buf, 8, 0) != -os::errBadF)
+                return 1;
+
+            int rfd = -1, wfd = -1;
+            if (env.pipe(rfd, wfd) != 0)
+                return 2;
+            const std::uint64_t rd = static_cast<std::uint64_t>(rfd);
+            const std::uint64_t wr = static_cast<std::uint64_t>(wfd);
+            if (env.write(wr, buf, 8) != 8)
+                return 3;
+            if (env.pread(rd, buf, 8, 0) != -os::errSPipe ||
+                env.pwrite(wr, buf, 8, 0) != -os::errSPipe ||
+                env.pread(wr, buf, 8, 0) != -os::errSPipe ||
+                env.pwrite(rd, buf, 8, 0) != -os::errSPipe)
+                return 4;
+            if (env.read(wr, buf, 8) != -os::errBadF ||
+                env.write(rd, buf, 8) != -os::errBadF)
+                return 5;
+            if (path == IoPath::Native) {
+                // An unmapped buffer: read checks it before the pipe,
+                // pread rejects the pipe first.
+                const GuestVA unmapped = 0x10;
+                if (env.read(rd, unmapped, 8) != -os::errFault ||
+                    env.pread(rd, unmapped, 8, 0) != -os::errSPipe ||
+                    env.write(wr, unmapped, 8) != -os::errFault ||
+                    env.pwrite(wr, unmapped, 8, 0) != -os::errSPipe)
+                    return 6;
+            }
+            if (env.read(rd, buf, 8) != 8)
+                return 7;
+            return 0;
+        });
+        EXPECT_EQ(r.status, 0) << ioPathName(path) << ": " << r.killReason;
+    }
 }
 
 TEST(ShimStats, AdaptationClassesCounted)
