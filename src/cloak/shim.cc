@@ -30,6 +30,13 @@ splitmix(std::uint64_t& state)
     return z ^ (z >> 31);
 }
 
+/** pread/pwrite: the transfers that name their file offset in a4. */
+bool
+positional(Sys num)
+{
+    return num == Sys::Pread || num == Sys::Pwrite;
+}
+
 } // namespace
 
 Shim::Shim(CloakEngine& engine, DomainId domain, os::Env& env)
@@ -169,17 +176,24 @@ Shim::stageString(const std::string& s, std::uint64_t slot)
 // ---------------------------------------------------------------------------
 
 std::int64_t
-Shim::marshalledRead(Sys num, std::uint64_t fd, GuestVA user_buf,
-                     std::uint64_t len)
+Shim::marshalledIo(Sys num, const SyscallArgs& args)
 {
+    const std::uint64_t fd = args[0];
+    const GuestVA user_buf = args[1];
+    const std::uint64_t len = args[2];
+    const bool inbound = os::isInbound(num);
     std::uint64_t done = 0;
     while (done < len) {
         std::uint64_t chunk =
             std::min<std::uint64_t>(len - done, bounceDataBytes);
-        std::int64_t rv = trap(num, {fd, bounceVa_, chunk});
+        if (!inbound)
+            copyGuest(bounceVa_, user_buf + done, chunk);
+        std::int64_t rv =
+            trap(num, {fd, bounceVa_, chunk,
+                       positional(num) ? args[3] + done : 0});
         if (rv < 0)
             return done > 0 ? static_cast<std::int64_t>(done) : rv;
-        if (rv > 0)
+        if (inbound && rv > 0)
             copyGuest(user_buf + done, bounceVa_,
                       static_cast<std::uint64_t>(rv));
         done += static_cast<std::uint64_t>(rv);
@@ -188,71 +202,10 @@ Shim::marshalledRead(Sys num, std::uint64_t fd, GuestVA user_buf,
         if (static_cast<std::uint64_t>(rv) < chunk)
             break;
     }
-    engine_.stats().counter("shim_marshalled_reads").inc();
-    return static_cast<std::int64_t>(done);
-}
-
-std::int64_t
-Shim::marshalledWrite(std::uint64_t fd, GuestVA user_buf,
-                      std::uint64_t len)
-{
-    std::uint64_t done = 0;
-    while (done < len) {
-        std::uint64_t chunk =
-            std::min<std::uint64_t>(len - done, bounceDataBytes);
-        copyGuest(bounceVa_, user_buf + done, chunk);
-        std::int64_t rv = trap(Sys::Write, {fd, bounceVa_, chunk});
-        if (rv < 0)
-            return done > 0 ? static_cast<std::int64_t>(done) : rv;
-        done += static_cast<std::uint64_t>(rv);
-        if (static_cast<std::uint64_t>(rv) < chunk)
-            break;
-    }
-    engine_.stats().counter("shim_marshalled_writes").inc();
-    return static_cast<std::int64_t>(done);
-}
-
-std::int64_t
-Shim::marshalledPread(std::uint64_t fd, GuestVA user_buf,
-                      std::uint64_t len, std::uint64_t off)
-{
-    std::uint64_t done = 0;
-    while (done < len) {
-        std::uint64_t chunk =
-            std::min<std::uint64_t>(len - done, bounceDataBytes);
-        std::int64_t rv = trap(Sys::Pread,
-                               {fd, bounceVa_, chunk, off + done});
-        if (rv < 0)
-            return done > 0 ? static_cast<std::int64_t>(done) : rv;
-        if (rv > 0)
-            copyGuest(user_buf + done, bounceVa_,
-                      static_cast<std::uint64_t>(rv));
-        done += static_cast<std::uint64_t>(rv);
-        if (static_cast<std::uint64_t>(rv) < chunk)
-            break;
-    }
-    engine_.stats().counter("shim_marshalled_reads").inc();
-    return static_cast<std::int64_t>(done);
-}
-
-std::int64_t
-Shim::marshalledPwrite(std::uint64_t fd, GuestVA user_buf,
-                       std::uint64_t len, std::uint64_t off)
-{
-    std::uint64_t done = 0;
-    while (done < len) {
-        std::uint64_t chunk =
-            std::min<std::uint64_t>(len - done, bounceDataBytes);
-        copyGuest(bounceVa_, user_buf + done, chunk);
-        std::int64_t rv = trap(Sys::Pwrite,
-                               {fd, bounceVa_, chunk, off + done});
-        if (rv < 0)
-            return done > 0 ? static_cast<std::int64_t>(done) : rv;
-        done += static_cast<std::uint64_t>(rv);
-        if (static_cast<std::uint64_t>(rv) < chunk)
-            break;
-    }
-    engine_.stats().counter("shim_marshalled_writes").inc();
+    engine_.stats()
+        .counter(inbound ? "shim_marshalled_reads"
+                         : "shim_marshalled_writes")
+        .inc();
     return static_cast<std::int64_t>(done);
 }
 
@@ -327,13 +280,13 @@ Shim::openProtected(const std::string& path, std::uint64_t flags)
 }
 
 std::int64_t
-Shim::emulatedRead(CloakedFile& cf, GuestVA buf, std::uint64_t len)
+Shim::emulatedRead(CloakedFile& cf, GuestVA buf, std::uint64_t len,
+                   std::uint64_t off)
 {
-    if (cf.offset >= cf.size || len == 0)
+    if (off >= cf.size || len == 0)
         return 0;
-    std::uint64_t n = std::min<std::uint64_t>(len, cf.size - cf.offset);
-    copyGuest(buf, cf.mapVa + cf.offset, n);
-    cf.offset += n;
+    std::uint64_t n = std::min<std::uint64_t>(len, cf.size - off);
+    copyGuest(buf, cf.mapVa + off, n);
     engine_.stats().counter("shim_emulated_reads").inc();
     return static_cast<std::int64_t>(n);
 }
@@ -368,44 +321,8 @@ Shim::growMapping(CloakedFile& cf, std::uint64_t new_size)
 }
 
 std::int64_t
-Shim::emulatedWrite(CloakedFile& cf, GuestVA buf, std::uint64_t len)
-{
-    if (len == 0)
-        return 0;
-    std::uint64_t new_end = cf.offset + len;
-    if (new_end > cf.mapPages * pageSize) {
-        std::int64_t r = growMapping(cf, new_end);
-        if (r < 0)
-            return r;
-    }
-    copyGuest(cf.mapVa + cf.offset, buf, len);
-    cf.offset = new_end;
-    if (new_end > cf.size) {
-        cf.size = new_end;
-        // Keep the kernel's idea of the size current so writeback and
-        // later opens see the full file.
-        trap(Sys::Ftruncate, {cf.fd, new_end});
-    }
-    engine_.stats().counter("shim_emulated_writes").inc();
-    return static_cast<std::int64_t>(len);
-}
-
-std::int64_t
-Shim::emulatedPread(CloakedFile& cf, GuestVA buf, std::uint64_t len,
+Shim::emulatedWrite(CloakedFile& cf, GuestVA buf, std::uint64_t len,
                     std::uint64_t off)
-{
-    // Positional read: the file offset is untouched.
-    if (off >= cf.size || len == 0)
-        return 0;
-    std::uint64_t n = std::min<std::uint64_t>(len, cf.size - off);
-    copyGuest(buf, cf.mapVa + off, n);
-    engine_.stats().counter("shim_emulated_reads").inc();
-    return static_cast<std::int64_t>(n);
-}
-
-std::int64_t
-Shim::emulatedPwrite(CloakedFile& cf, GuestVA buf, std::uint64_t len,
-                     std::uint64_t off)
 {
     if (len == 0)
         return 0;
@@ -418,6 +335,8 @@ Shim::emulatedPwrite(CloakedFile& cf, GuestVA buf, std::uint64_t len,
     copyGuest(cf.mapVa + off, buf, len);
     if (new_end > cf.size) {
         cf.size = new_end;
+        // Keep the kernel's idea of the size current so writeback and
+        // later opens see the full file.
         trap(Sys::Ftruncate, {cf.fd, new_end});
     }
     engine_.stats().counter("shim_emulated_writes").inc();
@@ -520,30 +439,18 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
     // everything below works on this private snapshot.
     std::vector<std::uint8_t> araw(count * os::batchDescBytes);
     env_.readBytes(app_sub, araw);
-    std::vector<os::BatchDesc> descs(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint8_t* d = araw.data() + i * os::batchDescBytes;
-        descs[i].num = static_cast<Sys>(loadLe64(d));
-        for (std::size_t a = 0; a < 5; ++a)
-            descs[i].args[a] = loadLe64(d + 8 * (a + 1));
-        descs[i].echo = loadLe64(d + 48);
-        descs[i].reserved = loadLe64(d + 56);
-    }
+    const std::vector<os::BatchDesc> descs = os::decodeBatchDescs(araw);
 
-    auto writeAppCompletion = [&](std::uint64_t slot, std::int64_t rv) {
-        std::array<std::uint8_t, os::batchCompBytes> c{};
-        storeLe64(c.data(), static_cast<std::uint64_t>(rv));
-        storeLe64(c.data() + 8, descs[slot].echo);
-        env_.writeBytes(app_comp + slot * os::batchCompBytes, c);
+    // Completed as -errInval without being served: descriptors the
+    // ring does not admit, and dup2 onto a protected fd, which would
+    // close it behind the shim's table (the direct call refuses it
+    // too; dup/dup2 FROM a protected fd pass through).
+    auto refused = [&](const os::BatchDesc& d) {
+        return !os::batchAdmissible(d) ||
+               (d.num == Sys::Dup2 && cloakedFiles_.count(d.args[1]) != 0);
     };
 
-    auto rejected = [](const os::BatchDesc& d) {
-        return d.reserved != 0 || d.num == Sys::SubmitBatch ||
-               !os::Kernel::batchable(d.num);
-    };
-
-    // Calls the shim must serve locally: protected-file emulation, and
-    // fd duplication that would alias a protected fd behind our back.
+    // Calls the shim must serve locally: protected-file emulation.
     auto localOnly = [&](const os::BatchDesc& d) {
         switch (d.num) {
           case Sys::Read:
@@ -556,34 +463,15 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
           case Sys::Fsync:
           case Sys::Fstat:
             return cloakedFiles_.count(d.args[0]) != 0;
-          case Sys::Dup2:
-            // dup2 closing a protected fd underneath the shim's table
-            // is refused; dup/dup2 FROM a protected fd pass through.
-            return cloakedFiles_.count(d.args[1]) != 0;
           default:
             return false;
         }
     };
 
-    if (count == 1) {
-        // Depth 1 reproduces the legacy per-trap path bit for bit: no
-        // arena, no kernel ring — route straight through the ordinary
-        // dispatch so every committed baseline replays unchanged.
-        const os::BatchDesc& d = descs[0];
-        std::int64_t rv;
-        if (rejected(d)) {
-            rv = -os::errInval;
-        } else {
-            rv = syscall(env_, d.num,
-                         {d.args[0], d.args[1], d.args[2], d.args[3],
-                          d.args[4]});
-        }
-        writeAppCompletion(0, rv);
-        engine_.stats().counter("shim_batches").inc();
-        return 1;
-    }
-
-    GuestVA arena = marshalArena();
+    // Only a batch deeper than 1 uses the arena and the kernel ring; a
+    // depth-1 batch is served per call below, so it costs what the
+    // call itself would.
+    GuestVA arena = count > 1 ? marshalArena() : 0;
     GuestVA ksub = arena;
     GuestVA kcomp = arena + pageSize;
     GuestVA stage = arena + 2 * pageSize;
@@ -612,18 +500,11 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
     auto flushKernelSlots = [&]() {
         if (slots.empty())
             return;
-        std::vector<std::uint8_t> kraw(slots.size() * os::batchDescBytes,
-                                       0);
-        for (std::size_t k = 0; k < slots.size(); ++k) {
-            std::uint8_t* d = kraw.data() + k * os::batchDescBytes;
-            const os::BatchDesc& kd = slots[k].desc;
-            storeLe64(d, static_cast<std::uint64_t>(kd.num));
-            for (std::size_t a = 0; a < 5; ++a)
-                storeLe64(d + 8 * (a + 1), kd.args[a]);
-            storeLe64(d + 48, kd.echo);
-            storeLe64(d + 56, 0);
-        }
-        env_.writeBytes(ksub, kraw);
+        std::vector<os::BatchDesc> kdescs;
+        kdescs.reserve(slots.size());
+        for (const KernelSlot& s : slots)
+            kdescs.push_back(s.desc);
+        env_.writeBytes(ksub, os::encodeBatchDescs(kdescs));
 
         std::int64_t rv = trap(Sys::SubmitBatch,
                                {ksub, kcomp, slots.size()});
@@ -640,24 +521,19 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
             std::vector<std::uint8_t> craw(slots.size() *
                                            os::batchCompBytes);
             env_.readBytes(kcomp, craw);
+            const std::vector<os::BatchComp> kcomps =
+                os::decodeBatchComps(craw);
             for (std::size_t k = 0; k < slots.size(); ++k) {
                 const KernelSlot& s = slots[k];
-                const std::uint8_t* c =
-                    craw.data() + k * os::batchCompBytes;
                 std::int64_t res =
-                    static_cast<std::int64_t>(loadLe64(c));
-                std::uint64_t echo = loadLe64(c + 8);
-                if (echo != s.nonce)
+                    static_cast<std::int64_t>(kcomps[k].result);
+                if (kcomps[k].echo != s.nonce)
                     ringViolation("echo token mismatch");
-                bool bounded = s.desc.num == Sys::Read ||
-                               s.desc.num == Sys::Pread ||
-                               s.desc.num == Sys::Write ||
-                               s.desc.num == Sys::Pwrite;
+                bool inbound = os::isInbound(s.desc.num);
+                bool bounded = inbound || os::isOutbound(s.desc.num);
                 if (bounded && res > static_cast<std::int64_t>(s.len))
                     ringViolation("result exceeds request");
-                if ((s.desc.num == Sys::Read ||
-                     s.desc.num == Sys::Pread) &&
-                    res > 0) {
+                if (inbound && res > 0) {
                     copyGuest(s.appBuf, s.stageVa,
                               static_cast<std::uint64_t>(res));
                 }
@@ -672,7 +548,11 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
         stageUsed = 0;
     };
 
-    auto legacyServe = [&](std::uint64_t i) {
+    // The per-call server: the entry goes through Shim::syscall exactly
+    // as a direct call would, after the kernel catches up on staged
+    // work so calls retire in submission order.
+    auto servePerCall = [&](std::uint64_t i) {
+        flushKernelSlots();
         const os::BatchDesc& d = descs[i];
         results[i] = syscall(env_, d.num,
                              {d.args[0], d.args[1], d.args[2],
@@ -681,19 +561,12 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
 
     for (std::uint64_t i = 0; i < count; ++i) {
         const os::BatchDesc& d = descs[i];
-        if (rejected(d)) {
+        if (refused(d)) {
             results[i] = -os::errInval;
             continue;
         }
-        if (localOnly(d)) {
-            if (d.num == Sys::Dup2) {
-                results[i] = -os::errInval;
-            } else {
-                // Let the kernel catch up first so emulated and
-                // kernel-bound calls retire in submission order.
-                flushKernelSlots();
-                legacyServe(i);
-            }
+        if (count == 1 || localOnly(d)) {
+            servePerCall(i);
             continue;
         }
 
@@ -701,24 +574,15 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
         s.appIndex = i;
         s.desc = d;
         std::uint64_t need = 0;
-        switch (d.num) {
-          case Sys::Read:
-          case Sys::Pread:
-          case Sys::Fstat:
-          case Sys::Write:
-          case Sys::Pwrite:
-            need = d.num == Sys::Fstat ? sizeof(os::StatBuf)
-                                       : d.args[2];
-            break;
-          default:
-            // Register-only: getpid/yield/clock/lseek/dup/close/...
-            break;
-        }
+        if (d.num == Sys::Fstat)
+            need = sizeof(os::StatBuf);
+        else if (os::isInbound(d.num) || os::isOutbound(d.num))
+            need = d.args[2];
+        // Anything else is register-only: getpid/yield/clock/lseek/...
         if (need > stageBytes) {
-            // Larger than the whole staging area: serve through the
-            // legacy chunked marshalling path, in order.
-            flushKernelSlots();
-            legacyServe(i);
+            // Larger than the whole staging area: the per-call server
+            // chunks it through the bounce buffer, in order.
+            servePerCall(i);
             continue;
         }
         if (need > stageBytes - stageUsed)
@@ -727,7 +591,7 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
             s.stageVa = stage + stageUsed;
             stageUsed += need;
             s.len = need;
-            if (d.num == Sys::Write || d.num == Sys::Pwrite) {
+            if (os::isOutbound(d.num)) {
                 // Outbound data leaves cloaked memory here, once.
                 copyGuest(s.stageVa, d.args[1], need);
             } else {
@@ -737,19 +601,15 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
         }
         s.nonce = nextBatchNonce();
         s.desc.echo = s.nonce;
-        s.desc.reserved = 0;
         slots.push_back(s);
     }
     flushKernelSlots();
 
     // Publish all app completions in one bulk write to cloaked memory.
-    std::vector<std::uint8_t> acomp(count * os::batchCompBytes, 0);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint8_t* c = acomp.data() + i * os::batchCompBytes;
-        storeLe64(c, static_cast<std::uint64_t>(results[i]));
-        storeLe64(c + 8, descs[i].echo);
-    }
-    env_.writeBytes(app_comp, acomp);
+    std::vector<os::BatchComp> acomp(count);
+    for (std::uint64_t i = 0; i < count; ++i)
+        acomp[i] = {static_cast<std::uint64_t>(results[i]), descs[i].echo};
+    env_.writeBytes(app_comp, os::encodeBatchComps(acomp));
     engine_.stats().counter("shim_batches").inc();
     return static_cast<std::int64_t>(count);
 }
@@ -861,32 +721,23 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
         return shimOpen(args);
 
       case Sys::Read:
-        if (auto it = cloakedFiles_.find(args[0]);
-            it != cloakedFiles_.end()) {
-            return emulatedRead(it->second, args[1], args[2]);
-        }
-        return marshalledRead(Sys::Read, args[0], args[1], args[2]);
-
       case Sys::Write:
-        if (auto it = cloakedFiles_.find(args[0]);
-            it != cloakedFiles_.end()) {
-            return emulatedWrite(it->second, args[1], args[2]);
-        }
-        return marshalledWrite(args[0], args[1], args[2]);
-
       case Sys::Pread:
-        if (auto it = cloakedFiles_.find(args[0]);
-            it != cloakedFiles_.end()) {
-            return emulatedPread(it->second, args[1], args[2], args[3]);
-        }
-        return marshalledPread(args[0], args[1], args[2], args[3]);
-
       case Sys::Pwrite:
         if (auto it = cloakedFiles_.find(args[0]);
             it != cloakedFiles_.end()) {
-            return emulatedPwrite(it->second, args[1], args[2], args[3]);
+            // The cursor forms run at the file's cursor and advance it.
+            CloakedFile& cf = it->second;
+            std::uint64_t off = positional(num) ? args[3] : cf.offset;
+            std::int64_t rv =
+                os::isInbound(num)
+                    ? emulatedRead(cf, args[1], args[2], off)
+                    : emulatedWrite(cf, args[1], args[2], off);
+            if (!positional(num) && rv > 0)
+                cf.offset += static_cast<std::uint64_t>(rv);
+            return rv;
         }
-        return marshalledPwrite(args[0], args[1], args[2], args[3]);
+        return marshalledIo(num, args);
 
       case Sys::Lseek:
         if (auto it = cloakedFiles_.find(args[0]);

@@ -110,14 +110,12 @@ class Shim : public os::SyscallInterposer
     /** Copy a string into the bounce area; returns its VA. */
     GuestVA stageString(const std::string& s, std::uint64_t slot);
 
-    std::int64_t marshalledRead(os::Sys num, std::uint64_t fd,
-                                GuestVA user_buf, std::uint64_t len);
-    std::int64_t marshalledWrite(std::uint64_t fd, GuestVA user_buf,
-                                 std::uint64_t len);
-    std::int64_t marshalledPread(std::uint64_t fd, GuestVA user_buf,
-                                 std::uint64_t len, std::uint64_t off);
-    std::int64_t marshalledPwrite(std::uint64_t fd, GuestVA user_buf,
-                                  std::uint64_t len, std::uint64_t off);
+    /**
+     * read/pread/write/pwrite on a kernel-served fd, chunked through
+     * the bounce buffer: inbound data is copied back after each trap,
+     * outbound data is copied in before it. args as the syscall's.
+     */
+    std::int64_t marshalledIo(os::Sys num, const os::SyscallArgs& args);
     std::int64_t shimOpen(const os::SyscallArgs& args);
     std::int64_t shimMmap(const os::SyscallArgs& args);
     std::int64_t shimMunmap(const os::SyscallArgs& args);
@@ -126,14 +124,11 @@ class Shim : public os::SyscallInterposer
 
     std::int64_t openProtected(const std::string& path,
                                std::uint64_t flags);
+    /** Emulated I/O at file offset @p off; the cursor never moves. */
     std::int64_t emulatedRead(CloakedFile& cf, GuestVA buf,
-                              std::uint64_t len);
+                              std::uint64_t len, std::uint64_t off);
     std::int64_t emulatedWrite(CloakedFile& cf, GuestVA buf,
-                               std::uint64_t len);
-    std::int64_t emulatedPread(CloakedFile& cf, GuestVA buf,
                                std::uint64_t len, std::uint64_t off);
-    std::int64_t emulatedPwrite(CloakedFile& cf, GuestVA buf,
-                                std::uint64_t len, std::uint64_t off);
     std::int64_t emulatedLseek(CloakedFile& cf, std::int64_t off,
                                std::uint64_t whence);
     std::int64_t growMapping(CloakedFile& cf, std::uint64_t new_size);
@@ -142,11 +137,12 @@ class Shim : public os::SyscallInterposer
     /**
      * Batched submission (Sys::SubmitBatch from a cloaked process):
      * reads the app's descriptor ring out of cloaked memory once,
-     * serves emulated calls locally, stages the rest into the marshal
-     * arena's kernel-facing ring and dispatches them in ONE secure
-     * control transfer, then validates every completion (echo token +
-     * result bounds) before copying data back. args = {app submission
-     * VA, app completion VA, count}.
+     * serves a depth-1 batch, emulated calls and oversized transfers
+     * per call, stages the rest into the marshal arena's kernel-facing
+     * ring and dispatches them in ONE secure control transfer, then
+     * validates every completion (echo token + result bounds) before
+     * copying data back. args = {app submission VA, app completion VA,
+     * count}.
      */
     std::int64_t shimSubmitBatch(const os::SyscallArgs& args);
 
@@ -176,9 +172,10 @@ class Shim : public os::SyscallInterposer
      * kernel-facing submission ring, page 1 the completion ring, and
      * the rest is scatter/gather data staging. Allocated on the first
      * batch deeper than 1 and reused for the life of the shim, so a
-     * busy server pays the setup once instead of per call. Uncloaked by
+     * busy server pays the setup once instead of per call. A depth-1
+     * batch is served per call and never maps it. Uncloaked by
      * construction — everything staged here is data the kernel would
-     * see on the legacy marshalled path anyway.
+     * see on the per-call marshalled path anyway.
      */
     GuestVA arenaVa_ = 0;
     static constexpr std::uint64_t arenaDataPages_ = 16;

@@ -136,13 +136,6 @@ class Kernel : public vmm::GuestOsHooks
      */
     std::int64_t syscallEntry(Thread& thread);
 
-    /**
-     * Is @p num allowed inside a SubmitBatch ring? The shim applies
-     * the same whitelist so depth-independent semantics hold on both
-     * sides of the trust boundary.
-     */
-    static bool batchable(Sys num);
-
     /** Timer interrupt: scheduling tick (+ pending kill/signal checks). */
     void timerTick(Thread& thread);
 
@@ -265,6 +258,19 @@ class Kernel : public vmm::GuestOsHooks
                           std::uint64_t len, std::uint64_t off);
     std::int64_t sysPwrite(Thread& t, std::uint64_t fd, GuestVA buf,
                            std::uint64_t len, std::uint64_t off);
+    /**
+     * The page-cache loops behind read/pread and write/pwrite: move
+     * `len` bytes at file offset `off` (a read stops at EOF) and count
+     * the call under `counter`. The callers check the descriptor and
+     * the buffer first, and read/write advance the cursor by the
+     * result.
+     */
+    std::int64_t readFileAt(Thread& t, OpenFile& f, GuestVA buf,
+                            std::uint64_t len, std::uint64_t off,
+                            const char* counter);
+    std::int64_t writeFileAt(Thread& t, OpenFile& f, GuestVA buf,
+                             std::uint64_t len, std::uint64_t off,
+                             const char* counter);
     std::int64_t sysLseek(Thread& t, std::uint64_t fd, std::int64_t off,
                           std::uint64_t whence);
     std::int64_t sysFstat(Thread& t, std::uint64_t fd, GuestVA out_va);

@@ -3,7 +3,6 @@
  * System-call implementations. See kernel.hh for the kernel core.
  */
 
-#include "base/bytes.hh"
 #include "base/logging.hh"
 #include "os/attack_hooks.hh"
 #include "os/kernel.hh"
@@ -114,18 +113,7 @@ Kernel::dispatchSyscall(Thread& t, Sys num, std::uint64_t a1,
         result = sysFstat(t, a1, a2);
         break;
       case Sys::Unlink:
-        {
-            std::string path = readUserString(t, a1);
-            result = vfs_.unlink(path);
-            if (result == 0) {
-                std::int64_t id = vfs_.lookup(path);
-                (void)id; // already unlinked; reap by scanning below
-            }
-            // Reap any fully unreferenced inode this unlink released.
-            // (unlink returns only 0/-err; rescan via path is moot, so
-            // the actual reap happens in closeFile and here for files
-            // with no open descriptors.)
-        }
+        result = vfs_.unlink(readUserString(t, a1));
         break;
       case Sys::Mkdir:
         {
@@ -198,37 +186,6 @@ Kernel::dispatchSyscall(Thread& t, Sys num, std::uint64_t a1,
         break;
     }
     return result;
-}
-
-/**
- * The batch whitelist: calls with simple register/buffer semantics
- * whose handlers neither replace the process image nor juggle the
- * scheduler in ways that assume a fresh trap frame per call. Anything
- * else completes as -errInval without being dispatched.
- */
-bool
-Kernel::batchable(Sys num)
-{
-    switch (num) {
-      case Sys::GetPid:
-      case Sys::GetPpid:
-      case Sys::Yield:
-      case Sys::Clock:
-      case Sys::Read:
-      case Sys::Write:
-      case Sys::Pread:
-      case Sys::Pwrite:
-      case Sys::Lseek:
-      case Sys::Fstat:
-      case Sys::Dup:
-      case Sys::Dup2:
-      case Sys::Close:
-      case Sys::Ftruncate:
-      case Sys::Fsync:
-        return true;
-      default:
-        return false;
-    }
 }
 
 void
@@ -450,118 +407,10 @@ Kernel::pipeWrite(Thread& t, OpenFile& f, GuestVA buf, std::uint64_t len)
 }
 
 std::int64_t
-Kernel::sysRead(Thread& t, std::uint64_t fd, GuestVA buf, std::uint64_t len)
+Kernel::readFileAt(Thread& t, OpenFile& f, GuestVA buf, std::uint64_t len,
+                   std::uint64_t off, const char* counter)
 {
-    Process& p = currentProcess();
-    OpenFile* f = p.fd(fd);
-    if (f == nullptr)
-        return -errBadF;
-    if (len > 0 && !validUserRange(p, buf, len, true))
-        return -errFault;
-    if (f->kind == OpenFile::Kind::PipeRead)
-        return pipeRead(t, *f, buf, len);
-    if (f->kind == OpenFile::Kind::PipeWrite)
-        return -errBadF;
-
-    Inode& ino = vfs_.inode(f->inode);
-    if (ino.isDir())
-        return -errIsDir;
-    if (f->offset >= ino.size || len == 0)
-        return 0;
-    std::uint64_t n = std::min<std::uint64_t>(len, ino.size - f->offset);
-
-    std::uint64_t done = 0;
-    std::array<std::uint8_t, pageSize> tmp;
-    while (done < n) {
-        std::uint64_t off = f->offset + done;
-        std::uint64_t page_index = pageNumber(off);
-        std::uint64_t in_page =
-            std::min<std::uint64_t>(n - done, pageSize - pageOffset(off));
-        PageCacheEntry& e = ensureCached(ino.id, page_index);
-        Gpa gpa = e.gpa;
-        {
-            KernelModeGuard guard(t.vcpu);
-            t.vcpu.readBytes(kernelVa(gpa) + pageOffset(off),
-                             std::span<std::uint8_t>(tmp.data(), in_page));
-        }
-        copyToUser(t, buf + done,
-                   std::span<const std::uint8_t>(tmp.data(), in_page));
-        done += in_page;
-    }
-    f->offset += n;
-
-    if (attackHooks_ != nullptr && n > 0)
-        attackHooks_->onReadReturn(*this, t, buf, n);
-    stats_.counter("file_reads").inc();
-    return static_cast<std::int64_t>(n);
-}
-
-std::int64_t
-Kernel::sysWrite(Thread& t, std::uint64_t fd, GuestVA buf,
-                 std::uint64_t len)
-{
-    Process& p = currentProcess();
-    OpenFile* f = p.fd(fd);
-    if (f == nullptr)
-        return -errBadF;
-    if (len > 0 && !validUserRange(p, buf, len, false))
-        return -errFault;
-    if (f->kind == OpenFile::Kind::PipeWrite)
-        return pipeWrite(t, *f, buf, len);
-    if (f->kind == OpenFile::Kind::PipeRead)
-        return -errBadF;
-    if (!(f->flags & openWrite))
-        return -errPerm;
-
-    Inode& ino = vfs_.inode(f->inode);
-    if (ino.isDir())
-        return -errIsDir;
-
-    std::uint64_t done = 0;
-    std::array<std::uint8_t, pageSize> tmp;
-    while (done < len) {
-        std::uint64_t off = f->offset + done;
-        std::uint64_t page_index = pageNumber(off);
-        std::uint64_t in_page =
-            std::min<std::uint64_t>(len - done,
-                                    pageSize - pageOffset(off));
-        copyFromUser(t, buf + done,
-                     std::span<std::uint8_t>(tmp.data(), in_page));
-        PageCacheEntry& e = ensureCached(ino.id, page_index);
-        {
-            KernelModeGuard guard(t.vcpu);
-            t.vcpu.writeBytes(
-                kernelVa(e.gpa) + pageOffset(off),
-                std::span<const std::uint8_t>(tmp.data(), in_page));
-        }
-        e.dirty = true;
-        done += in_page;
-    }
-    f->offset += len;
-    if (f->offset > ino.size)
-        ino.size = f->offset;
-    stats_.counter("file_writes").inc();
-    return static_cast<std::int64_t>(len);
-}
-
-std::int64_t
-Kernel::sysPread(Thread& t, std::uint64_t fd, GuestVA buf,
-                 std::uint64_t len, std::uint64_t off)
-{
-    // Positional read: same data path as sysRead, but the offset comes
-    // from the caller and the descriptor's own offset never moves —
-    // which is what lets a batched server serve ranges without
-    // interleaving lseek descriptors.
-    Process& p = currentProcess();
-    OpenFile* f = p.fd(fd);
-    if (f == nullptr)
-        return -errBadF;
-    if (f->kind != OpenFile::Kind::File)
-        return -errSPipe;
-    if (len > 0 && !validUserRange(p, buf, len, true))
-        return -errFault;
-
-    Inode& ino = vfs_.inode(f->inode);
+    Inode& ino = vfs_.inode(f.inode);
     if (ino.isDir())
         return -errIsDir;
     if (off >= ino.size || len == 0)
@@ -587,28 +436,17 @@ Kernel::sysPread(Thread& t, std::uint64_t fd, GuestVA buf,
         done += in_page;
     }
 
-    if (attackHooks_ != nullptr && n > 0)
+    if (attackHooks_ != nullptr)
         attackHooks_->onReadReturn(*this, t, buf, n);
-    stats_.counter("file_preads").inc();
+    stats_.counter(counter).inc();
     return static_cast<std::int64_t>(n);
 }
 
 std::int64_t
-Kernel::sysPwrite(Thread& t, std::uint64_t fd, GuestVA buf,
-                  std::uint64_t len, std::uint64_t off)
+Kernel::writeFileAt(Thread& t, OpenFile& f, GuestVA buf, std::uint64_t len,
+                    std::uint64_t off, const char* counter)
 {
-    Process& p = currentProcess();
-    OpenFile* f = p.fd(fd);
-    if (f == nullptr)
-        return -errBadF;
-    if (f->kind != OpenFile::Kind::File)
-        return -errSPipe;
-    if (len > 0 && !validUserRange(p, buf, len, false))
-        return -errFault;
-    if (!(f->flags & openWrite))
-        return -errPerm;
-
-    Inode& ino = vfs_.inode(f->inode);
+    Inode& ino = vfs_.inode(f.inode);
     if (ino.isDir())
         return -errIsDir;
 
@@ -634,8 +472,85 @@ Kernel::sysPwrite(Thread& t, std::uint64_t fd, GuestVA buf,
     }
     if (off + len > ino.size)
         ino.size = off + len;
-    stats_.counter("file_pwrites").inc();
+    stats_.counter(counter).inc();
     return static_cast<std::int64_t>(len);
+}
+
+std::int64_t
+Kernel::sysRead(Thread& t, std::uint64_t fd, GuestVA buf, std::uint64_t len)
+{
+    Process& p = currentProcess();
+    OpenFile* f = p.fd(fd);
+    if (f == nullptr)
+        return -errBadF;
+    if (len > 0 && !validUserRange(p, buf, len, true))
+        return -errFault;
+    if (f->kind == OpenFile::Kind::PipeRead)
+        return pipeRead(t, *f, buf, len);
+    if (f->kind == OpenFile::Kind::PipeWrite)
+        return -errBadF;
+    std::int64_t n = readFileAt(t, *f, buf, len, f->offset, "file_reads");
+    if (n > 0)
+        f->offset += static_cast<std::uint64_t>(n);
+    return n;
+}
+
+std::int64_t
+Kernel::sysWrite(Thread& t, std::uint64_t fd, GuestVA buf,
+                 std::uint64_t len)
+{
+    Process& p = currentProcess();
+    OpenFile* f = p.fd(fd);
+    if (f == nullptr)
+        return -errBadF;
+    if (len > 0 && !validUserRange(p, buf, len, false))
+        return -errFault;
+    if (f->kind == OpenFile::Kind::PipeWrite)
+        return pipeWrite(t, *f, buf, len);
+    if (f->kind == OpenFile::Kind::PipeRead)
+        return -errBadF;
+    if (!(f->flags & openWrite))
+        return -errPerm;
+    std::int64_t n = writeFileAt(t, *f, buf, len, f->offset, "file_writes");
+    if (n > 0)
+        f->offset += static_cast<std::uint64_t>(n);
+    return n;
+}
+
+std::int64_t
+Kernel::sysPread(Thread& t, std::uint64_t fd, GuestVA buf,
+                 std::uint64_t len, std::uint64_t off)
+{
+    // Positional read: the offset comes from the caller and the
+    // descriptor's own offset never moves — which is what lets a
+    // batched server serve ranges without interleaving lseek
+    // descriptors.
+    Process& p = currentProcess();
+    OpenFile* f = p.fd(fd);
+    if (f == nullptr)
+        return -errBadF;
+    if (f->kind != OpenFile::Kind::File)
+        return -errSPipe;
+    if (len > 0 && !validUserRange(p, buf, len, true))
+        return -errFault;
+    return readFileAt(t, *f, buf, len, off, "file_preads");
+}
+
+std::int64_t
+Kernel::sysPwrite(Thread& t, std::uint64_t fd, GuestVA buf,
+                  std::uint64_t len, std::uint64_t off)
+{
+    Process& p = currentProcess();
+    OpenFile* f = p.fd(fd);
+    if (f == nullptr)
+        return -errBadF;
+    if (f->kind != OpenFile::Kind::File)
+        return -errSPipe;
+    if (len > 0 && !validUserRange(p, buf, len, false))
+        return -errFault;
+    if (!(f->flags & openWrite))
+        return -errPerm;
+    return writeFileAt(t, *f, buf, len, off, "file_pwrites");
 }
 
 std::int64_t
@@ -847,15 +762,7 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
     // cannot create a checked-vs-used mismatch.
     std::vector<std::uint8_t> raw(sub_bytes);
     copyFromUser(t, sub_va, raw);
-    std::vector<BatchDesc> descs(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint8_t* d = raw.data() + i * batchDescBytes;
-        descs[i].num = static_cast<Sys>(loadLe64(d));
-        for (std::size_t a = 0; a < 5; ++a)
-            descs[i].args[a] = loadLe64(d + 8 * (a + 1));
-        descs[i].echo = loadLe64(d + 48);
-        descs[i].reserved = loadLe64(d + 56);
-    }
+    const std::vector<BatchDesc> descs = decodeBatchDescs(raw);
 
     // Pre-seal hint, once per batch: every present page an I/O
     // descriptor's buffer spans is about to be touched through the
@@ -863,8 +770,7 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
     // up front instead of sealing one fault at a time.
     std::vector<Gpa> preseal;
     for (const BatchDesc& d : descs) {
-        if (d.num != Sys::Read && d.num != Sys::Write &&
-            d.num != Sys::Pread && d.num != Sys::Pwrite)
+        if (!isInbound(d.num) && !isOutbound(d.num))
             continue;
         GuestVA buf = d.args[1];
         std::uint64_t len = d.args[2];
@@ -879,25 +785,19 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
     vmm_.prepareFramesForKernel(preseal);
 
     auto& cost = vmm_.machine().cost();
-    std::vector<std::uint8_t> craw(comp_bytes);
+    std::vector<BatchComp> comps(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         const BatchDesc& d = descs[i];
-        std::int64_t r;
-        if (d.reserved != 0 || !batchable(d.num)) {
-            // Malformed or non-batchable: complete with an error but
-            // keep dispatching the rest of the ring.
-            r = -errInval;
-        } else {
+        std::int64_t r = -errInval;
+        if (batchAdmissible(d)) {
             cost.charge(cost.params().batchDispatch, "batch_dispatch");
             r = dispatchSyscall(t, d.num, d.args[0], d.args[1],
                                 d.args[2], d.args[3], d.args[4]);
             stats_.counter("batched_syscalls").inc();
         }
-        storeLe64(craw.data() + i * batchCompBytes,
-                  static_cast<std::uint64_t>(r));
-        storeLe64(craw.data() + i * batchCompBytes + 8, d.echo);
+        comps[i] = {static_cast<std::uint64_t>(r), d.echo};
     }
-    copyToUser(t, comp_va, craw);
+    copyToUser(t, comp_va, encodeBatchComps(comps));
 
     // The hostile-kernel window on the completion side: results are in
     // user memory now, the caller has not read them yet.

@@ -12,7 +12,11 @@
 #ifndef OSH_OS_SYSCALLS_HH
 #define OSH_OS_SYSCALLS_HH
 
+#include "base/bytes.hh"
+
 #include <cstdint>
+#include <span>
+#include <vector>
 
 namespace osh::os
 {
@@ -198,7 +202,7 @@ struct StatBuf
  * malformed (bad count, unmapped arrays).
  *
  * Descriptor (8 little-endian u64 words, 64 bytes):
- *   word 0  syscall number (must be batch-whitelisted, see kernel)
+ *   word 0  syscall number (must be batchable(), below)
  *   word 1..5  arguments r1..r5
  *   word 6  echo token, copied verbatim into the completion
  *   word 7  reserved, must be 0
@@ -227,6 +231,8 @@ struct BatchDesc
     std::uint64_t args[5] = {0, 0, 0, 0, 0};
     std::uint64_t echo = 0;
     std::uint64_t reserved = 0;
+
+    bool operator==(const BatchDesc&) const = default;
 };
 
 /** One batch completion, host-side view. */
@@ -234,7 +240,126 @@ struct BatchComp
 {
     std::uint64_t result = 0;
     std::uint64_t echo = 0;
+
+    bool operator==(const BatchComp&) const = default;
 };
+
+/** read/pread: the transfers that fill the caller's buffer. */
+constexpr bool
+isInbound(Sys num)
+{
+    return num == Sys::Read || num == Sys::Pread;
+}
+
+/** write/pwrite: the transfers that drain the caller's buffer. */
+constexpr bool
+isOutbound(Sys num)
+{
+    return num == Sys::Write || num == Sys::Pwrite;
+}
+
+/**
+ * The batch whitelist: calls with simple register/buffer semantics
+ * whose handlers neither replace the process image nor juggle the
+ * scheduler in ways that assume a fresh trap frame per call.
+ */
+constexpr bool
+batchable(Sys num)
+{
+    switch (num) {
+      case Sys::GetPid:
+      case Sys::GetPpid:
+      case Sys::Yield:
+      case Sys::Clock:
+      case Sys::Read:
+      case Sys::Write:
+      case Sys::Pread:
+      case Sys::Pwrite:
+      case Sys::Lseek:
+      case Sys::Fstat:
+      case Sys::Dup:
+      case Sys::Dup2:
+      case Sys::Close:
+      case Sys::Ftruncate:
+      case Sys::Fsync:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/**
+ * The ring admission rule, applied alike by the kernel and the shim:
+ * a descriptor with a reserved word set or a call off the whitelist
+ * completes as -errInval without being dispatched, and the rest of
+ * the ring still runs.
+ */
+constexpr bool
+batchAdmissible(const BatchDesc& d)
+{
+    return d.reserved == 0 && batchable(d.num);
+}
+
+// Ring codec: the only code that knows the byte layout above. A decode
+// reads every whole entry in `raw`.
+
+inline std::vector<std::uint8_t>
+encodeBatchDescs(std::span<const BatchDesc> descs)
+{
+    std::vector<std::uint8_t> raw(descs.size() * batchDescBytes);
+    std::uint8_t* w = raw.data();
+    for (const BatchDesc& d : descs) {
+        storeLe64(w, static_cast<std::uint64_t>(d.num));
+        for (std::size_t a = 0; a < 5; ++a)
+            storeLe64(w + 8 * (a + 1), d.args[a]);
+        storeLe64(w + 48, d.echo);
+        storeLe64(w + 56, d.reserved);
+        w += batchDescBytes;
+    }
+    return raw;
+}
+
+inline std::vector<BatchDesc>
+decodeBatchDescs(std::span<const std::uint8_t> raw)
+{
+    std::vector<BatchDesc> descs(raw.size() / batchDescBytes);
+    const std::uint8_t* r = raw.data();
+    for (BatchDesc& d : descs) {
+        d.num = static_cast<Sys>(loadLe64(r));
+        for (std::size_t a = 0; a < 5; ++a)
+            d.args[a] = loadLe64(r + 8 * (a + 1));
+        d.echo = loadLe64(r + 48);
+        d.reserved = loadLe64(r + 56);
+        r += batchDescBytes;
+    }
+    return descs;
+}
+
+inline std::vector<std::uint8_t>
+encodeBatchComps(std::span<const BatchComp> comps)
+{
+    std::vector<std::uint8_t> raw(comps.size() * batchCompBytes);
+    std::uint8_t* w = raw.data();
+    for (const BatchComp& c : comps) {
+        storeLe64(w, c.result);
+        storeLe64(w + 8, c.echo);
+        w += batchCompBytes;
+    }
+    return raw;
+}
+
+inline std::vector<BatchComp>
+decodeBatchComps(std::span<const std::uint8_t> raw)
+{
+    std::vector<BatchComp> comps(raw.size() / batchCompBytes);
+    const std::uint8_t* r = raw.data();
+    for (BatchComp& c : comps) {
+        c.result = loadLe64(r);
+        c.echo = loadLe64(r + 8);
+        r += batchCompBytes;
+    }
+    return comps;
+}
 
 } // namespace osh::os
 

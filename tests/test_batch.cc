@@ -2,11 +2,13 @@
  * @file
  * Batched syscall submission tests: batched-vs-serial equivalence
  * (identical guest results and VFS state, strictly fewer world
- * switches), depth-1 identity with the legacy per-trap path, ring
- * overflow/underflow rejection, and malformed-descriptor handling.
+ * switches), depth-1 identity with the direct call, ring
+ * overflow/underflow rejection, malformed-descriptor handling, and the
+ * ring codec against a hand-built layout.
  */
 
 #include "base/bytes.hh"
+#include "base/rng.hh"
 #include "cloak/engine.hh"
 #include "os/env.hh"
 #include "system/system.hh"
@@ -175,7 +177,7 @@ TEST(BatchClock, BatchedClockIsSerialEquivalent)
 }
 
 // ---------------------------------------------------------------------------
-// Depth-1 identity with the legacy path
+// Depth-1 identity with the direct call
 // ---------------------------------------------------------------------------
 
 TEST(BatchDepthOne, SingleEntryBatchMatchesDirectCall)
@@ -225,7 +227,7 @@ TEST(BatchDepthOne, SingleEntryBatchMatchesDirectCall)
     auto [direct_sw, direct_traps] = measure(false);
     auto [batch_sw, batch_traps] = measure(true);
 
-    // A depth-1 batch is routed through the legacy per-call dispatch:
+    // The shim serves a depth-1 batch per call, as the direct call:
     // same number of world switches, and the kernel-facing ring (and
     // the marshal arena behind it) is never touched.
     EXPECT_EQ(batch_sw, direct_sw);
@@ -237,17 +239,27 @@ TEST(BatchDepthOne, SingleEntryBatchMatchesDirectCall)
 // Ring overflow / underflow and malformed descriptors
 // ---------------------------------------------------------------------------
 
-/** Hand-craft a submission ring so malformed fields reach the shim. */
-GuestVA
-writeRing(Env& env, GuestVA sub,
-          const std::vector<std::array<std::uint64_t, 8>>& descs)
+/**
+ * Lay descriptors out by hand, word by word, independently of the ring
+ * codec: the reference the codec's encoder is pinned against.
+ */
+std::vector<std::uint8_t>
+handRing(const std::vector<std::array<std::uint64_t, 8>>& descs)
 {
     std::vector<std::uint8_t> raw(descs.size() * os::batchDescBytes, 0);
     for (std::size_t i = 0; i < descs.size(); ++i)
         for (std::size_t w = 0; w < 8; ++w)
             storeLe64(raw.data() + i * os::batchDescBytes + 8 * w,
                       descs[i][w]);
-    env.writeBytes(sub, raw);
+    return raw;
+}
+
+/** Hand-craft a submission ring so malformed fields reach the shim. */
+GuestVA
+writeRing(Env& env, GuestVA sub,
+          const std::vector<std::array<std::uint64_t, 8>>& descs)
+{
+    env.writeBytes(sub, handRing(descs));
     return sub + os::maxBatchDepth * os::batchDescBytes;
 }
 
@@ -324,6 +336,79 @@ runRingTests(bool cloaked)
 
 TEST(BatchRing, RejectionsCloaked) { runRingTests(true); }
 TEST(BatchRing, RejectionsNative) { runRingTests(false); }
+
+// ---------------------------------------------------------------------------
+// Ring codec
+// ---------------------------------------------------------------------------
+
+std::vector<std::array<std::uint64_t, 8>>
+randomDescWords(Rng& rng)
+{
+    std::vector<std::array<std::uint64_t, 8>> words(
+        1 + rng.next64() % os::maxBatchDepth);
+    for (auto& d : words)
+        for (std::uint64_t& w : d)
+            w = rng.next64();
+    return words;
+}
+
+os::BatchDesc
+descFromWords(const std::array<std::uint64_t, 8>& w)
+{
+    os::BatchDesc d;
+    d.num = static_cast<os::Sys>(w[0]);
+    for (std::size_t a = 0; a < 5; ++a)
+        d.args[a] = w[a + 1];
+    d.echo = w[6];
+    d.reserved = w[7];
+    return d;
+}
+
+TEST(BatchCodec, RandomEntriesRoundTrip)
+{
+    Rng rng(0xc0dec);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<os::BatchDesc> descs;
+        for (const auto& w : randomDescWords(rng))
+            descs.push_back(descFromWords(w));
+        std::vector<std::uint8_t> raw = os::encodeBatchDescs(descs);
+        ASSERT_EQ(raw.size(), descs.size() * os::batchDescBytes);
+        EXPECT_EQ(os::decodeBatchDescs(raw), descs);
+
+        std::vector<os::BatchComp> comps(descs.size());
+        for (os::BatchComp& c : comps)
+            c = {rng.next64(), rng.next64()};
+        raw = os::encodeBatchComps(comps);
+        ASSERT_EQ(raw.size(), comps.size() * os::batchCompBytes);
+        EXPECT_EQ(os::decodeBatchComps(raw), comps);
+    }
+}
+
+TEST(BatchCodec, EncoderMatchesTheHandBuiltLayout)
+{
+    // The byte layout documented in os/syscalls.hh, spelled out here
+    // without the codec: a change to either side fails this test.
+    Rng rng(0x1a7047);
+    for (int trial = 0; trial < 50; ++trial) {
+        std::vector<std::array<std::uint64_t, 8>> words =
+            randomDescWords(rng);
+        std::vector<os::BatchDesc> descs;
+        for (const auto& w : words)
+            descs.push_back(descFromWords(w));
+        EXPECT_EQ(os::encodeBatchDescs(descs), handRing(words));
+        EXPECT_EQ(os::decodeBatchDescs(handRing(words)), descs);
+
+        std::vector<os::BatchComp> comps(words.size());
+        for (std::size_t i = 0; i < comps.size(); ++i)
+            comps[i] = {words[i][0], words[i][6]};
+        std::vector<std::uint8_t> raw = os::encodeBatchComps(comps);
+        for (std::size_t i = 0; i < comps.size(); ++i) {
+            const std::uint8_t* c = raw.data() + i * os::batchCompBytes;
+            EXPECT_EQ(loadLe64(c), comps[i].result);
+            EXPECT_EQ(loadLe64(c + 8), comps[i].echo);
+        }
+    }
+}
 
 TEST(BatchRing, EnvWrapperRejectsBadDepths)
 {

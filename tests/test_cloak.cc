@@ -321,7 +321,7 @@ TEST(CloakIntegrity, EmulatedFileIoImmuneToReadBufferCorruption)
     EXPECT_EQ(run_case(true, false).status, 0);
     EXPECT_EQ(run_case(false, false).status, 1);
 
-    // pread: the shim serves the protected file itself (emulatedPread)
+    // pread: the shim serves the protected file itself (emulatedRead)
     // and marshals the plain one through the kernel's Sys::Pread.
     Outcome protected_pread = run_case(true, true);
     EXPECT_EQ(protected_pread.status, 0);
