@@ -172,19 +172,35 @@ void
 MetadataStore::evictToCapacity()
 {
     while (cacheIndex_.size() > cacheCapacity_) {
-        cacheIndex_.erase(lru_.back());
+        cacheIndex_.erase(lru_.back().index);
         lru_.pop_back();
     }
+}
+
+bool
+MetadataStore::touchKey(ResourceId res, std::uint64_t page_index)
+{
+    auto [it, fresh] = cacheIndex_.try_emplace(CacheKey{res, page_index});
+    if (!fresh) {
+        lru_.splice(lru_.begin(), lru_, it->second);
+        return true;
+    }
+    try {
+        lru_.push_front(LruNode{it});
+    } catch (...) {
+        cacheIndex_.erase(it);
+        throw;
+    }
+    it->second = lru_.begin();
+    evictToCapacity();
+    return false;
 }
 
 void
 MetadataStore::touchCache(ResourceId res, std::uint64_t page_index)
 {
-    CacheKey key{res, page_index};
     std::lock_guard<std::mutex> lk(cacheLock_);
-    auto it = cacheIndex_.find(key);
-    if (it != cacheIndex_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
+    if (touchKey(res, page_index)) {
         // Constant-cost mode: a hit priced below a miss tells the
         // kernel which (resource, page) pairs were touched recently.
         cost_.charge(constantCostLookups_ ? cost_.params().metadataMiss
@@ -193,39 +209,27 @@ MetadataStore::touchCache(ResourceId res, std::uint64_t page_index)
         return;
     }
     cost_.charge(cost_.params().metadataMiss, "metadata_miss");
-    lru_.push_front(key);
-    cacheIndex_[key] = lru_.begin();
-    evictToCapacity();
 }
 
 PageMeta&
 MetadataStore::page(Resource& res, std::uint64_t page_index)
 {
-    auto it = res.pages.find(page_index);
-    if (it == res.pages.end()) {
+    auto it = res.pages.lower_bound(page_index);
+    if (it == res.pages.end() || it->first != page_index) {
         // Freshly created metadata is born hot in the cache: there is
         // nothing to fetch or verify. The key can already be cached
         // when the page was destroyed and recreated (unseal reload);
-        // splice instead of inserting a duplicate node, which would
-        // orphan the old one and later erase the live index entry.
-        CacheKey key{res.id, page_index};
+        // touchKey then moves it instead of inserting a duplicate.
         {
             std::lock_guard<std::mutex> lk(cacheLock_);
             cost_.charge(constantCostLookups_
                              ? cost_.params().metadataMiss
                              : cost_.params().metadataHit,
                          "metadata_hit");
-            auto cit = cacheIndex_.find(key);
-            if (cit != cacheIndex_.end()) {
-                lru_.splice(lru_.begin(), lru_, cit->second);
-            } else {
-                lru_.push_front(key);
-                cacheIndex_[key] = lru_.begin();
-                evictToCapacity();
-            }
+            touchKey(res.id, page_index);
         }
         accountPages(0, +1);
-        return res.pages[page_index];
+        return res.pages.emplace_hint(it, page_index, PageMeta{})->second;
     }
     touchCache(res.id, page_index);
     return it->second;

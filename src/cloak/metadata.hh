@@ -261,6 +261,13 @@ class MetadataStore
 
     void touchCache(ResourceId res, std::uint64_t page_index);
 
+    /**
+     * Move (@p res, @p page_index) to the front of the LRU, inserting it
+     * (and evicting past capacity) if absent, with one index search.
+     * Returns whether it was already cached. The caller holds cacheLock_.
+     */
+    bool touchKey(ResourceId res, std::uint64_t page_index);
+
     /** Drop every cached key of one resource (destroy/unseal reload). */
     void purgeCache(ResourceId res);
 
@@ -291,9 +298,18 @@ class MetadataStore
      * serialized fault/seal paths, guarded for structure by cacheLock_.
      */
     using CacheKey = std::pair<ResourceId, std::uint64_t>;
+    struct LruNode;
+    using LruList = std::list<LruNode>;
+    /** Ordered by (resource, page), so purgeCache is one range scan. */
+    using CacheIndex = std::map<CacheKey, LruList::iterator>;
+    /** An LRU entry holds its index entry, so eviction does no search. */
+    struct LruNode
+    {
+        CacheIndex::iterator index;
+    };
     mutable std::mutex cacheLock_;
-    std::list<CacheKey> lru_;
-    std::map<CacheKey, std::list<CacheKey>::iterator> cacheIndex_;
+    LruList lru_;
+    CacheIndex cacheIndex_;
 
     /** Monotonic bundle versions per file key (rollback detection). */
     mutable std::mutex sealLock_;

@@ -324,6 +324,9 @@ std::int64_t
 Shim::emulatedWrite(CloakedFile& cf, GuestVA buf, std::uint64_t len,
                     std::uint64_t off)
 {
+    // The kernel's bound, checked before `off + len` can wrap.
+    if (off > os::maxFileBytes || len > os::maxFileBytes - off)
+        return -os::errFBig;
     if (len == 0)
         return 0;
     std::uint64_t new_end = off + len;
@@ -768,6 +771,8 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
         if (auto it = cloakedFiles_.find(args[0]);
             it != cloakedFiles_.end()) {
             CloakedFile& cf = it->second;
+            if (args[1] > os::maxFileBytes)
+                return -os::errFBig;
             if (args[1] < cf.size)
                 return -os::errInval; // Shrink unsupported (see docs).
             std::int64_t r = growMapping(cf, args[1]);

@@ -263,7 +263,8 @@ class Kernel : public vmm::GuestOsHooks
      * `len` bytes at file offset `off` (a read stops at EOF) and count
      * the call under `counter`. The callers check the descriptor and
      * the buffer first, and read/write advance the cursor by the
-     * result.
+     * result. A write whose range would end past maxFileBytes returns
+     * -errFBig.
      */
     std::int64_t readFileAt(Thread& t, OpenFile& f, GuestVA buf,
                             std::uint64_t len, std::uint64_t off,

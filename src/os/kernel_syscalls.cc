@@ -449,6 +449,8 @@ Kernel::writeFileAt(Thread& t, OpenFile& f, GuestVA buf, std::uint64_t len,
     Inode& ino = vfs_.inode(f.inode);
     if (ino.isDir())
         return -errIsDir;
+    if (off > maxFileBytes || len > maxFileBytes - off)
+        return -errFBig;
 
     std::uint64_t done = 0;
     std::array<std::uint8_t, pageSize> tmp;
@@ -633,6 +635,8 @@ Kernel::sysFtruncate(Thread&, std::uint64_t fd, std::uint64_t size)
     Inode& ino = vfs_.inode(f->inode);
     if (ino.isDir())
         return -errIsDir;
+    if (size > maxFileBytes)
+        return -errFBig;
     ino.size = size;
     if (ino.diskData.size() > size)
         ino.diskData.resize(size);

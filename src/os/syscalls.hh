@@ -123,11 +123,20 @@ enum Err : std::int64_t
     errIsDir = 21,
     errInval = 22,
     errNFile = 23,
+    errFBig = 27,
     errNoSpc = 28,
     errSPipe = 29,
     errPipe = 32,
     errNoSys = 38,
 };
+
+/**
+ * Largest size a regular file may reach (16 MiB). A write or pwrite
+ * whose range would end past it, and an ftruncate beyond it, return
+ * -errFBig. The cap keeps `off + len` from wrapping and bounds the
+ * disk image a guest can make the host allocate.
+ */
+constexpr std::uint64_t maxFileBytes = std::uint64_t{16} << 20;
 
 /**
  * Upper bound on a Sys::Sleep argument (in cycles). ~4.3 billion

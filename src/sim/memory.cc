@@ -1,6 +1,5 @@
 #include "sim/memory.hh"
 
-#include "base/bytes.hh"
 #include "base/logging.hh"
 
 #include <cstring>
@@ -15,14 +14,12 @@ MachineMemory::MachineMemory(std::uint64_t num_frames)
 }
 
 void
-MachineMemory::check(Mpa addr, std::uint64_t len) const
+MachineMemory::outOfRange(Mpa addr, std::uint64_t len) const
 {
-    if (addr + len > data_.size() || addr + len < addr) {
-        osh_panic("machine memory access out of range: "
-                  "addr=0x%llx len=%llu size=%zu",
-                  static_cast<unsigned long long>(addr),
-                  static_cast<unsigned long long>(len), data_.size());
-    }
+    osh_panic("machine memory access out of range: "
+              "addr=0x%llx len=%llu size=%zu",
+              static_cast<unsigned long long>(addr),
+              static_cast<unsigned long long>(len), data_.size());
 }
 
 void
@@ -37,62 +34,6 @@ MachineMemory::write(Mpa addr, std::span<const std::uint8_t> data)
 {
     check(addr, data.size());
     std::memcpy(data_.data() + addr, data.data(), data.size());
-}
-
-std::uint8_t
-MachineMemory::read8(Mpa addr) const
-{
-    check(addr, 1);
-    return data_[addr];
-}
-
-std::uint16_t
-MachineMemory::read16(Mpa addr) const
-{
-    check(addr, 2);
-    return loadLe16(data_.data() + addr);
-}
-
-std::uint32_t
-MachineMemory::read32(Mpa addr) const
-{
-    check(addr, 4);
-    return loadLe32(data_.data() + addr);
-}
-
-std::uint64_t
-MachineMemory::read64(Mpa addr) const
-{
-    check(addr, 8);
-    return loadLe64(data_.data() + addr);
-}
-
-void
-MachineMemory::write8(Mpa addr, std::uint8_t v)
-{
-    check(addr, 1);
-    data_[addr] = v;
-}
-
-void
-MachineMemory::write16(Mpa addr, std::uint16_t v)
-{
-    check(addr, 2);
-    storeLe16(data_.data() + addr, v);
-}
-
-void
-MachineMemory::write32(Mpa addr, std::uint32_t v)
-{
-    check(addr, 4);
-    storeLe32(data_.data() + addr, v);
-}
-
-void
-MachineMemory::write64(Mpa addr, std::uint64_t v)
-{
-    check(addr, 8);
-    storeLe64(data_.data() + addr, v);
 }
 
 std::span<std::uint8_t>

@@ -12,6 +12,7 @@
 #ifndef OSH_SIM_MEMORY_HH
 #define OSH_SIM_MEMORY_HH
 
+#include "base/bytes.hh"
 #include "base/types.hh"
 
 #include <cstdint>
@@ -37,15 +38,65 @@ class MachineMemory
     /** Write bytes at an MPA. The range must lie inside memory. */
     void write(Mpa addr, std::span<const std::uint8_t> data);
 
-    /** Fixed-width accessors. */
-    std::uint8_t read8(Mpa addr) const;
-    std::uint16_t read16(Mpa addr) const;
-    std::uint32_t read32(Mpa addr) const;
-    std::uint64_t read64(Mpa addr) const;
-    void write8(Mpa addr, std::uint8_t v);
-    void write16(Mpa addr, std::uint16_t v);
-    void write32(Mpa addr, std::uint32_t v);
-    void write64(Mpa addr, std::uint64_t v);
+    /**
+     * Fixed-width accessors, little-endian on every host. Inline: every
+     * guest load and store that hits the TLB ends here.
+     */
+    std::uint8_t
+    read8(Mpa addr) const
+    {
+        check(addr, 1);
+        return data_[addr];
+    }
+
+    std::uint16_t
+    read16(Mpa addr) const
+    {
+        check(addr, 2);
+        return loadLe16(data_.data() + addr);
+    }
+
+    std::uint32_t
+    read32(Mpa addr) const
+    {
+        check(addr, 4);
+        return loadLe32(data_.data() + addr);
+    }
+
+    std::uint64_t
+    read64(Mpa addr) const
+    {
+        check(addr, 8);
+        return loadLe64(data_.data() + addr);
+    }
+
+    void
+    write8(Mpa addr, std::uint8_t v)
+    {
+        check(addr, 1);
+        data_[addr] = v;
+    }
+
+    void
+    write16(Mpa addr, std::uint16_t v)
+    {
+        check(addr, 2);
+        storeLe16(data_.data() + addr, v);
+    }
+
+    void
+    write32(Mpa addr, std::uint32_t v)
+    {
+        check(addr, 4);
+        storeLe32(data_.data() + addr, v);
+    }
+
+    void
+    write64(Mpa addr, std::uint64_t v)
+    {
+        check(addr, 8);
+        storeLe64(data_.data() + addr, v);
+    }
 
     /**
      * Direct mutable view of one whole frame. Used by the VMM/cloak
@@ -59,7 +110,16 @@ class MachineMemory
     void zeroFrame(Mpa frame_base);
 
   private:
-    void check(Mpa addr, std::uint64_t len) const;
+    /** Panic unless [addr, addr + len) lies inside memory. */
+    void
+    check(Mpa addr, std::uint64_t len) const
+    {
+        if (addr + len > data_.size() || addr + len < addr) [[unlikely]]
+            outOfRange(addr, len);
+    }
+
+    [[noreturn, gnu::cold]] void outOfRange(Mpa addr,
+                                            std::uint64_t len) const;
 
     std::uint64_t numFrames_;
     std::vector<std::uint8_t> data_;

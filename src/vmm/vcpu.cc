@@ -20,40 +20,23 @@ Vcpu::setPreemptHook(std::function<void()> hook, std::uint64_t ops_per_tick)
 }
 
 void
-Vcpu::chargeOp(std::uint64_t cost_units)
+Vcpu::firePreempt()
 {
-    totalOps_ += cost_units;
-    if (!preemptHook_ || opsPerTick_ == 0 || ctx_.kernelMode || inPreempt_)
-        return;
-    opsSinceTick_ += cost_units;
-    if (opsSinceTick_ >= opsPerTick_) {
-        opsSinceTick_ = 0;
-        inPreempt_ = true;
-        preemptHook_();
-        inPreempt_ = false;
-    }
+    opsSinceTick_ = 0;
+    inPreempt_ = true;
+    preemptHook_();
+    inPreempt_ = false;
 }
 
 ShadowEntry
-Vcpu::translatePage(GuestVA va_page, AccessType access)
+Vcpu::translateMiss(GuestVA va_page, AccessType access)
 {
-    va_page = pageBase(va_page);
-    auto& cost = vmm_.machine().cost();
-
-    if (auto hit = vmm_.tlb(cpu_).lookup(ctx_, va_page)) {
-        bool ok = (access == AccessType::Write) ? hit->canWrite
-                                                : hit->canRead;
-        if (ok)
-            return *hit;
-        // Permission miss (e.g. write to a clean cloaked page): fall
-        // through to full resolution.
-    }
-
-    // TLB miss: the hardware walker consults the shadow page table.
+    // The hardware walker consults the shadow page table.
     if (auto sh = vmm_.shadows().lookup(ctx_, va_page)) {
         bool ok = (access == AccessType::Write) ? sh->canWrite
                                                 : sh->canRead;
         if (ok) {
+            auto& cost = vmm_.machine().cost();
             cost.charge(cost.params().tlbMissWalk, "tlb_fill");
             vmm_.tlb(cpu_).insert(ctx_, va_page, *sh);
             return *sh;
@@ -64,94 +47,28 @@ Vcpu::translatePage(GuestVA va_page, AccessType access)
     return vmm_.resolve(*this, ctx_, va_page, access);
 }
 
-template <typename T, T (sim::MachineMemory::*ReadFn)(Mpa) const>
-T
-Vcpu::loadScalar(GuestVA va)
+std::uint64_t
+Vcpu::loadCrossing(GuestVA va, std::size_t size)
 {
-    auto& cost = vmm_.machine().cost();
-    cost.charge(cost.params().memAccess);
-    chargeOp();
-    if (pageOffset(va) + sizeof(T) <= pageSize) {
-        ShadowEntry e = translatePage(va, AccessType::Read);
-        return (vmm_.machine().memory().*ReadFn)(e.mpa + pageOffset(va));
-    }
-    // Page-crossing access: assemble byte by byte.
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < size; ++i) {
         ShadowEntry e = translatePage(va + i, AccessType::Read);
-        v |= static_cast<T>(vmm_.machine().memory().read8(
-                 e.mpa + pageOffset(va + i)))
+        v |= std::uint64_t{vmm_.machine().memory().read8(
+                 e.mpa + pageOffset(va + i))}
              << (8 * i);
     }
     return v;
 }
 
-template <typename T, void (sim::MachineMemory::*WriteFn)(Mpa, T)>
 void
-Vcpu::storeScalar(GuestVA va, T v)
+Vcpu::storeCrossing(GuestVA va, std::size_t size, std::uint64_t v)
 {
-    auto& cost = vmm_.machine().cost();
-    cost.charge(cost.params().memAccess);
-    chargeOp();
-    if (pageOffset(va) + sizeof(T) <= pageSize) {
-        ShadowEntry e = translatePage(va, AccessType::Write);
-        (vmm_.machine().memory().*WriteFn)(e.mpa + pageOffset(va), v);
-        return;
-    }
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
+    for (std::size_t i = 0; i < size; ++i) {
         ShadowEntry e = translatePage(va + i, AccessType::Write);
         vmm_.machine().memory().write8(
             e.mpa + pageOffset(va + i),
             static_cast<std::uint8_t>(v >> (8 * i)));
     }
-}
-
-std::uint8_t
-Vcpu::load8(GuestVA va)
-{
-    return loadScalar<std::uint8_t, &sim::MachineMemory::read8>(va);
-}
-
-std::uint16_t
-Vcpu::load16(GuestVA va)
-{
-    return loadScalar<std::uint16_t, &sim::MachineMemory::read16>(va);
-}
-
-std::uint32_t
-Vcpu::load32(GuestVA va)
-{
-    return loadScalar<std::uint32_t, &sim::MachineMemory::read32>(va);
-}
-
-std::uint64_t
-Vcpu::load64(GuestVA va)
-{
-    return loadScalar<std::uint64_t, &sim::MachineMemory::read64>(va);
-}
-
-void
-Vcpu::store8(GuestVA va, std::uint8_t v)
-{
-    storeScalar<std::uint8_t, &sim::MachineMemory::write8>(va, v);
-}
-
-void
-Vcpu::store16(GuestVA va, std::uint16_t v)
-{
-    storeScalar<std::uint16_t, &sim::MachineMemory::write16>(va, v);
-}
-
-void
-Vcpu::store32(GuestVA va, std::uint32_t v)
-{
-    storeScalar<std::uint32_t, &sim::MachineMemory::write32>(va, v);
-}
-
-void
-Vcpu::store64(GuestVA va, std::uint64_t v)
-{
-    storeScalar<std::uint64_t, &sim::MachineMemory::write64>(va, v);
 }
 
 void

@@ -423,5 +423,41 @@ TEST_F(EngineTest, ForkedChildDecryptsInheritedPages)
     EXPECT_EQ(app.load64(appVa), 0xfeedf00du);
 }
 
+/** The Vcpu's inline TLB hit path against the clean-page protocol. */
+class VcpuFastPath : public EngineTest
+{
+};
+
+TEST_F(VcpuFastPath, WriteToCleanPageHitsOnceThenResolves)
+{
+    auto app = appCpu();
+    auto kernel = kernelCpu();
+    app.store64(appVa, 0x1234);
+    kernel.load64(kernelVaOf(gpa)); // Seals the page.
+    // Decrypted clean, so mapped without write permission; the second
+    // load is served by the TLB front cache.
+    EXPECT_EQ(app.load64(appVa), 0x1234u);
+    EXPECT_EQ(app.load64(appVa + 8), 0u);
+
+    const auto& tlb = vmm_.tlb(0).stats();
+    const auto& cost = machine_.cost().stats();
+    std::uint64_t hits = tlb.value("hits");
+    std::uint64_t misses = tlb.value("misses");
+    std::uint64_t exits = cost.value("vm_exit");
+    std::uint64_t dirtied = engine_.stats().value("clean_to_dirty");
+
+    // The front cache holds the page but not write permission: one TLB
+    // hit, then straight to the VMM, which marks the page dirty.
+    app.store64(appVa + 16, 0xbeef);
+    EXPECT_EQ(tlb.value("hits"), hits + 1);
+    EXPECT_EQ(tlb.value("misses"), misses);
+    EXPECT_EQ(cost.value("vm_exit"), exits + 1);
+    EXPECT_EQ(engine_.stats().value("clean_to_dirty"), dirtied + 1);
+
+    EXPECT_EQ(app.load64(appVa + 16), 0xbeefu);
+    EXPECT_EQ(app.load64(appVa), 0x1234u);
+    EXPECT_EQ(cost.value("vm_exit"), exits + 1);
+}
+
 } // namespace
 } // namespace osh::cloak

@@ -568,6 +568,59 @@ TEST(ShimIoTwins, CursorAndPositionalCallsAreOneDataPath)
     }
 }
 
+TEST(ShimIoTwins, FileOffsetsAreBoundedOnEveryPath)
+{
+    // A write whose range would end past os::maxFileBytes, and an
+    // ftruncate beyond it, fail with -EFBIG on every path and change
+    // nothing. The offset 2^64 - 4096 once wrapped `off + len` to zero
+    // and reached the disk image at fsync.
+    constexpr std::uint64_t wrapping = 0 - pageSize;
+    constexpr auto cap = static_cast<std::int64_t>(os::maxFileBytes);
+    for (IoPath path :
+         {IoPath::Native, IoPath::Marshalled, IoPath::Emulated}) {
+        SCOPED_TRACE(ioPathName(path));
+        struct
+        {
+            std::int64_t wrapWrite = 0, wrapSync = 0, pastCap = 0,
+                         seekCap = 0, cursorPastCap = 0, truncPastCap = 0,
+                         sizeAfter = -1, inRange = 0;
+        } rv;
+        System sys(cloakedConfig(path != IoPath::Native));
+        auto r = runCloaked(sys, [&](Env& env) {
+            if (path == IoPath::Emulated)
+                env.mkdir("/cloaked");
+            std::int64_t f = env.open(
+                path == IoPath::Emulated ? "/cloaked/big" : "/big",
+                os::openCreate | os::openRead | os::openWrite);
+            if (f < 0)
+                return 1;
+            const std::uint64_t fd = static_cast<std::uint64_t>(f);
+            GuestVA buf = env.allocPages(1);
+            env.writeBytes(buf, ioPattern(8, 5));
+            rv.wrapWrite = env.pwrite(fd, buf, 1, wrapping);
+            rv.wrapSync = env.fsync(fd);
+            rv.pastCap = env.pwrite(fd, buf, 2, os::maxFileBytes - 1);
+            rv.seekCap = env.lseek(fd, cap, os::seekSet);
+            rv.cursorPastCap = env.write(fd, buf, 1);
+            rv.truncPastCap = env.ftruncate(fd, os::maxFileBytes + 1);
+            rv.sizeAfter = env.lseek(fd, 0, os::seekEnd);
+            rv.inRange = env.pwrite(fd, buf, 8, 0);
+            env.fsync(fd);
+            env.close(fd);
+            return 0;
+        });
+        EXPECT_EQ(r.status, 0) << r.killReason;
+        EXPECT_EQ(rv.wrapWrite, -os::errFBig);
+        EXPECT_EQ(rv.wrapSync, 0);
+        EXPECT_EQ(rv.pastCap, -os::errFBig);
+        EXPECT_EQ(rv.seekCap, cap);
+        EXPECT_EQ(rv.cursorPastCap, -os::errFBig);
+        EXPECT_EQ(rv.truncPastCap, -os::errFBig);
+        EXPECT_EQ(rv.sizeAfter, 0);
+        EXPECT_EQ(rv.inRange, 8);
+    }
+}
+
 TEST(ShimIoTwins, ErrnoOrderOnPipesAndBadFds)
 {
     // Cursor and positional calls keep their own argument checks: a

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the VMM: pmap allocation, multi-shadow page tables,
  * reverse-index invalidation, TLB behaviour (including the front
- * cache's coherence and view isolation) and register scrubbing.
+ * cache's coherence and view isolation), the Vcpu's inline access path
+ * and register scrubbing.
  */
 
 #include "base/rng.hh"
@@ -11,6 +12,7 @@
 #include "vmm/registers.hh"
 #include "vmm/shadow.hh"
 #include "vmm/tlb.hh"
+#include "vmm/vcpu.hh"
 #include "vmm/vmm.hh"
 
 #include <gtest/gtest.h>
@@ -602,6 +604,247 @@ TEST(Tlb, ShootdownHeavyDifferentialAgainstReference)
             return;
         EXPECT_GT(hits, 100u) << "seed " << seed;
     }
+}
+
+/**
+ * Guest OS stub for the Vcpu tests: a flat table of PTEs. A write fault
+ * on a present, write-protected page lifts the protection and drops the
+ * stale translation, as a COW break does (without the copy); any other
+ * fault is a test bug.
+ */
+class StubOs : public GuestOsHooks
+{
+  public:
+    explicit StubOs(Vmm& vmm) : vmm_(vmm) { vmm_.setGuestOs(this); }
+
+    void
+    map(Asid asid, GuestVA va, Gpa gpa)
+    {
+        ptes_[{asid, pageBase(va)}] =
+            GuestPte{pageBase(gpa), true, true, true, false};
+    }
+
+    /** Write-protect a page, as the kernel does before a fork. */
+    void
+    protect(Asid asid, GuestVA va)
+    {
+        ptes_.at({asid, pageBase(va)}).writable = false;
+        vmm_.invalidateVa(asid, va);
+    }
+
+    GuestPte
+    translateGuest(Asid asid, GuestVA va) override
+    {
+        auto it = ptes_.find({asid, pageBase(va)});
+        return it == ptes_.end() ? GuestPte{} : it->second;
+    }
+
+    void
+    handleGuestPageFault(Vcpu& vcpu, GuestVA va, AccessType access) override
+    {
+        Asid asid = vcpu.context().asid;
+        auto it = ptes_.find({asid, pageBase(va)});
+        if (it == ptes_.end() || access != AccessType::Write ||
+            it->second.writable)
+            throw ProcessKilled{0, "unexpected guest fault"};
+        it->second.writable = true;
+        vmm_.invalidateVa(asid, va);
+        ++writeFaults;
+    }
+
+    std::uint64_t writeFaults = 0;
+
+  private:
+    Vmm& vmm_;
+    std::map<std::pair<Asid, GuestVA>, GuestPte> ptes_;
+};
+
+/** A VMM over the stub OS with `pages` user pages mapped at `base`. */
+class VcpuFastPath : public ::testing::Test
+{
+  protected:
+    static constexpr Asid asid = 3;
+    static constexpr GuestVA base = 0x40000;
+    static constexpr std::uint64_t pages = 40;
+
+    VcpuFastPath() : machine_(smallMachine()), vmm_(machine_, 64), os_(vmm_)
+    {
+        // Neighbouring VA pages get scattered guest frames, so a
+        // page-crossing access that reused one page's frame for both
+        // halves would land in the wrong place.
+        for (std::uint64_t p = 0; p < pages; ++p)
+            os_.map(asid, base + p * pageSize, gpaOf(p));
+    }
+
+    static Gpa
+    gpaOf(std::uint64_t page)
+    {
+        return (page * 7 % pages + 1) * pageSize;
+    }
+
+    Vcpu userCpu() { return Vcpu(vmm_, Context{asid, systemDomain, false}); }
+
+    /** The machine byte behind a mapped VA, read past every TLB. */
+    std::uint8_t
+    machineByte(GuestVA va)
+    {
+        Gpa g = gpaOf(pageNumber(va - base)) + pageOffset(va);
+        return machine_.memory().read8(vmm_.pmap().translate(g));
+    }
+
+    std::uint64_t
+    tlbCount(std::uint32_t cpu, const char* name)
+    {
+        return vmm_.tlb(cpu).stats().value(name);
+    }
+
+    sim::Machine machine_;
+    Vmm vmm_;
+    StubOs os_;
+};
+
+std::uint64_t
+loadWidth(Vcpu& cpu, unsigned width, GuestVA va)
+{
+    switch (width) {
+      case 1: return cpu.load8(va);
+      case 2: return cpu.load16(va);
+      case 4: return cpu.load32(va);
+      default: return cpu.load64(va);
+    }
+}
+
+void
+storeWidth(Vcpu& cpu, unsigned width, GuestVA va, std::uint64_t v)
+{
+    switch (width) {
+      case 1: cpu.store8(va, static_cast<std::uint8_t>(v)); break;
+      case 2: cpu.store16(va, static_cast<std::uint16_t>(v)); break;
+      case 4: cpu.store32(va, static_cast<std::uint32_t>(v)); break;
+      default: cpu.store64(va, v); break;
+    }
+}
+
+TEST_F(VcpuFastPath, PageCrossingAccessesComposeBytes)
+{
+    Vcpu cpu = userCpu();
+    Rng rng(0x5eed);
+    const GuestVA edge = base + pageSize; // pages 0 and 1 meet here
+    for (unsigned width : {1u, 2u, 4u, 8u}) {
+        // Every start from wholly below the edge to wholly above it.
+        for (GuestVA va = edge - width; va <= edge; ++va) {
+            SCOPED_TRACE(testing::Message() << "width " << width
+                                            << " offset "
+                                            << pageOffset(va));
+            std::uint64_t v = rng.next64() >> (64 - 8 * width);
+            storeWidth(cpu, width, va, v);
+            std::uint64_t composed = 0;
+            for (unsigned i = 0; i < width; ++i) {
+                composed |= std::uint64_t{cpu.load8(va + i)} << (8 * i);
+                EXPECT_EQ(machineByte(va + i),
+                          static_cast<std::uint8_t>(v >> (8 * i)));
+            }
+            EXPECT_EQ(composed, v);
+
+            std::uint64_t w = rng.next64() >> (64 - 8 * width);
+            for (unsigned i = 0; i < width; ++i)
+                cpu.store8(va + i, static_cast<std::uint8_t>(w >> (8 * i)));
+            EXPECT_EQ(loadWidth(cpu, width, va), w);
+        }
+    }
+}
+
+TEST_F(VcpuFastPath, PreemptHookFiresEveryNUserOps)
+{
+    Vcpu cpu = userCpu();
+    int fired = 0;
+    cpu.setPreemptHook(
+        [&] {
+            ++fired;
+            cpu.load64(base); // An access inside the hook never re-fires.
+        },
+        5);
+    for (int i = 0; i < 23; ++i)
+        cpu.load64(base + 8 * i);
+    EXPECT_EQ(fired, 4);
+
+    cpu.context().kernelMode = true;
+    for (int i = 0; i < 50; ++i)
+        cpu.store32(base, static_cast<std::uint32_t>(i));
+    EXPECT_EQ(fired, 4);
+
+    // Three user ops were left over from before kernel mode.
+    cpu.context().kernelMode = false;
+    cpu.load8(base);
+    EXPECT_EQ(fired, 4);
+    cpu.load8(base);
+    EXPECT_EQ(fired, 5);
+    EXPECT_EQ(cpu.opCount(), 23u + 4u + 50u + 2u + 1u);
+}
+
+TEST_F(VcpuFastPath, SeededMixAcrossTwoSlotsMatchesMirror)
+{
+    vmm_.setVcpuCount(2);
+    Vcpu slot0 = userCpu();
+    Vcpu slot1 = userCpu();
+    slot1.setCpu(1);
+    std::vector<std::uint8_t> mirror(pages * pageSize, 0);
+    Rng rng(0xfa57);
+
+    // Mostly a hot set of six pages, so most accesses hit the front
+    // cache; one start in eight sits at a page's end to cross it.
+    auto randVa = [&](unsigned width) {
+        std::uint64_t page =
+            rng.nextBounded(4) == 0 ? rng.nextBounded(pages)
+                                    : rng.nextBounded(6);
+        std::uint64_t off = rng.nextBounded(8) == 0
+                                ? pageSize - 1 - rng.nextBounded(8)
+                                : rng.nextBounded(pageSize);
+        GuestVA va = base + page * pageSize + off;
+        return std::min<GuestVA>(va, base + pages * pageSize - width);
+    };
+
+    for (int op = 0; op < 20000; ++op) {
+        Vcpu& cpu = rng.nextBounded(2) == 0 ? slot0 : slot1;
+        unsigned width = 1u << rng.nextBounded(4);
+        int r = static_cast<int>(rng.nextBounded(1000));
+        if (r < 450) {
+            GuestVA va = randVa(width);
+            std::uint64_t want = 0;
+            for (unsigned i = 0; i < width; ++i)
+                want |= std::uint64_t{mirror[va - base + i]} << (8 * i);
+            ASSERT_EQ(loadWidth(cpu, width, va), want) << "op " << op;
+        } else if (r < 850) {
+            GuestVA va = randVa(width);
+            std::uint64_t v = rng.next64();
+            storeWidth(cpu, width, va, v);
+            for (unsigned i = 0; i < width; ++i)
+                mirror[va - base + i] =
+                    static_cast<std::uint8_t>(v >> (8 * i));
+        } else if (r < 900) {
+            os_.protect(asid, randVa(1));
+        } else if (r < 940) {
+            vmm_.invalidateVa(asid, randVa(1));
+        } else if (r < 980) {
+            GuestVA va = randVa(1);
+            vmm_.invalidateMpa(vmm_.pmap().translate(
+                gpaOf(pageNumber(va - base))));
+        } else {
+            vmm_.invalidateAsid(asid);
+        }
+    }
+
+    // Recorded before the hit path moved inline; any drift in charges,
+    // probes or counters moves one of these.
+    EXPECT_EQ(machine_.cost().cycles(), 10103482u);
+    EXPECT_EQ(tlbCount(0, "hits"), 5754u);
+    EXPECT_EQ(tlbCount(0, "misses"), 4412u);
+    EXPECT_EQ(tlbCount(1, "hits"), 5933u);
+    EXPECT_EQ(tlbCount(1, "misses"), 4548u);
+    EXPECT_GT(os_.writeFaults, 100u);
+
+    for (GuestVA va = base; va < base + pages * pageSize; ++va)
+        ASSERT_EQ(machineByte(va), mirror[va - base]) << "va " << va;
 }
 
 TEST(Registers, ScrubKeepsSyscallArgs)
